@@ -73,7 +73,8 @@ class BitString:
         """MSB-first bits of ``value``, zero-extended to ``length``."""
         if value < 0 or (length < value.bit_length()):
             raise ValueError(f"{value} does not fit in {length} bits")
-        return cls([(value >> (length - 1 - i)) & 1 for i in range(length)])
+        raw = np.frombuffer(value.to_bytes((length + 7) // 8, "big"), dtype=np.uint8)
+        return cls(np.unpackbits(raw)[(-length) % 8 :])
 
     @classmethod
     def from_hex(cls, s: str, length: int) -> "BitString":
@@ -87,10 +88,8 @@ class BitString:
         return self._bits
 
     def to_int(self) -> int:
-        value = 0
-        for b in self._bits:
-            value = (value << 1) | int(b)
-        return value
+        """MSB-first value of the bits (0 for the empty string)."""
+        return int.from_bytes(np.packbits(self._bits).tobytes(), "big") >> ((-len(self)) % 8)
 
     def to_hex(self) -> str:
         return hex_encode(self)

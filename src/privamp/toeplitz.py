@@ -7,13 +7,18 @@ diagonals cyclically,
 
     T[i, j] = y[(i - j) mod q],
 
-where q is the seed length (n+m-1 for standard Toeplitz acting on the
-whole input, n-1 for the m x (n-m) block T' of modified Toeplitz).
-The first column is therefore y[0], y[1], ..., y[m-1] top to bottom and
-the first row walks the tail of the seed backwards: y[0], y[q-1],
-y[q-2], ...  Under this convention the product T(y)x equals the first m
-coefficients of the cyclic convolution of the seed with the zero-padded
-input, which is exactly what the FFT fast path computes.
+where T is an m x k block and q = m+k-1 is the seed length (k = n for
+standard Toeplitz acting on the whole input, k = n-m for the block T'
+of modified Toeplitz, so q = n+m-1 and n-1).  The first column is
+therefore y[0], y[1], ..., y[m-1] top to bottom and the first row walks
+the tail of the seed backwards: y[0], y[q-1], y[q-2], ...
+
+The block has exactly q diagonals: diagonal t = i-j+k-1 (t = 0 at the
+top-right corner) holds d[t] = y[(t-k+1) mod q], i.e. d is the seed
+rotated by k-1.  Output bit i is then coefficient i+k-1 of the linear
+convolution d*x: the FFT path reads this window of m coefficients from
+one cyclic convolution of size >= q, where no wrap-around reaches it,
+and the exact path reads the same window from one big-integer product.
 
 Modified Toeplitz hashes with (T'(y) || I_m): the first n-m input bits
 go through T', the last m bits are XORed in through the identity block.
@@ -83,71 +88,70 @@ def _pack_bits(bits: np.ndarray, slot_bytes: int) -> int:
     return int.from_bytes(buf.tobytes(), "little")
 
 
-def _conv_exact(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear convolution of two 0/1 sequences, exactly, mod 2.
+def _block_exact(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coefficients k-1 .. q-1 of the linear convolution d*x, exactly, mod 2.
 
-    Coefficients are packed into wide slots of one big integer each, so
-    the single big-integer product (Karatsuba under the hood) computes
-    all convolution coefficients at once without carries between slots.
+    q = len(d) >= k = len(x).  Coefficients are packed into wide slots of
+    one big integer each, so the single big-integer product (Karatsuba
+    under the hood) computes them all at once without carries between
+    slots.
     """
-    n_full = len(c) + len(x) - 1
-    slot_bytes = (max(len(c), len(x)).bit_length() + 8) // 8
-    prod = _pack_bits(c, slot_bytes) * _pack_bits(x, slot_bytes)
-    raw = prod.to_bytes(n_full * slot_bytes + slot_bytes, "little")
-    return np.frombuffer(raw, dtype=np.uint8)[: n_full * slot_bytes : slot_bytes] & 1
+    q, k = len(d), len(x)
+    slot = (q.bit_length() + 8) // 8
+    raw = (_pack_bits(d, slot) * _pack_bits(x, slot)).to_bytes((q + k) * slot, "little")
+    return np.frombuffer(raw, dtype=np.uint8)[(k - 1) * slot : q * slot : slot] & 1
 
 
-def _conv_fft(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear convolution mod 2 via real FFT, verified by a residual check."""
-    n_full = len(c) + len(x) - 1
-    n_fft = 1 << max(0, n_full - 1).bit_length()
-    conv = np.fft.irfft(
-        np.fft.rfft(c.astype(np.float64), n_fft) * np.fft.rfft(x.astype(np.float64), n_fft),
-        n_fft,
-    )[:n_full]
-    rounded = np.rint(conv)
-    residual = float(np.abs(conv - rounded).max()) if n_full else 0.0
+def _block_fft(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The window of :func:`_block_exact` via real FFT, verified by a residual check.
+
+    A cyclic convolution of size L >= q folds the linear coefficients L
+    and above onto indices at most q+k-2-L <= k-2, so the window
+    k-1 .. q-1 is free of wrap-around.
+    """
+    q, k = len(d), len(x)
+    size = 1 << max(0, q - 1).bit_length()
+    window = np.fft.irfft(np.fft.rfft(d, size) * np.fft.rfft(x, size), size)[k - 1 : q]
+    rounded = np.rint(window)
+    residual = float(np.abs(window - rounded).max())
     if residual >= 0.25:
         raise PrecisionLoss(f"convolution residual {residual:.3g} >= 0.25")
     return rounded.astype(np.int64).astype(np.uint8) & 1
 
 
-def _cyclic_extract(seed: np.ndarray, x: np.ndarray, q: int, m: int, method: str) -> np.ndarray:
-    """First m bits of the length-q cyclic convolution of seed and x."""
-    if method == "auto":
-        try:
-            lin = _conv_fft(seed, x)
-        except PrecisionLoss:
-            lin = _conv_exact(seed, x)
-    elif method == "fft":
-        lin = _conv_fft(seed, x)
-    else:
-        lin = _conv_exact(seed, x)
-    out = np.zeros(q, dtype=np.uint8)
-    for start in range(0, len(lin), q):
-        seg = lin[start : start + q]
-        out[: len(seg)] ^= seg
-    return out[:m]
+def _toeplitz_block(y: np.ndarray, x: np.ndarray, method: str) -> np.ndarray:
+    """T(y) x for the m x k block T[i, j] = y[(i - j) mod q], q = len(y) = m+k-1."""
+    m = len(y) - len(x) + 1
+    d = np.concatenate((y[m:], y[:m]))  # the seed rotated by k-1
+    if method == "exact":
+        return _block_exact(d, x)
+    try:
+        return _block_fft(d, x)
+    except PrecisionLoss:
+        if method == "fft":
+            raise
+        return _block_exact(d, x)
 
 
-class ToeplitzExtractor(SeededExtractor):
-    """Standard Toeplitz hashing: Ext(x, y) = T(y) . x over GF(2).
+class _ToeplitzBlockExtractor(SeededExtractor):
+    """Ext(x, y) = (T(y) || I) . x over GF(2) for the m x k block T(y).
 
-    T(y) is the m x n Toeplitz matrix T[i, j] = y[(i - j) mod (n+m-1)].
-    The seed is n+m-1 bits; any 1 <= m <= n is allowed.
+    The block T[i, j] = y[(i - j) mod q] hashes the first k input bits
+    with a seed of q = m+k-1 bits; the remaining n-k input bits (none,
+    or m of them) are XORed onto the output through an identity block.
+    A variant states its block width k, ``_block_width(n, m)``, and its
+    largest output length, ``_max_output_length(n)``.
     """
 
-    vector_name = "ToeplitzHashing"
-
     def __init__(self, input_length: int, output_length: int):
-        if input_length < 1:
-            raise InvalidRange("input_length must be positive")
-        if not 1 <= output_length <= input_length:
-            raise InvalidRange(
-                f"output_length must be in [1, {input_length}], got {output_length}"
-            )
+        top = self._max_output_length(input_length)
+        if top < 1:
+            raise InvalidRange(f"input_length {input_length} admits no output length")
+        if not 1 <= output_length <= top:
+            raise InvalidRange(f"output_length must be in [1, {top}], got {output_length}")
         self._n = input_length
         self._m = output_length
+        self._k = self._block_width(input_length, output_length)
 
     @property
     def input_length(self) -> int:
@@ -159,25 +163,24 @@ class ToeplitzExtractor(SeededExtractor):
 
     @property
     def seed_length(self) -> int:
-        return self._n + self._m - 1
+        return self._m + self._k - 1
 
     @classmethod
     def calculate_length(cls, extractor_type, input_length, relative_source_entropy, error_bound):
         return calculate_length(extractor_type, input_length, relative_source_entropy, error_bound)
 
-    def _check_lengths(self, x: BitString, y: BitString):
-        if len(x) != self.input_length:
+    def _check_lengths(self, y: BitString, x: BitString | None = None):
+        if x is not None and len(x) != self.input_length:
             raise LengthMismatch(f"input must be {self.input_length} bits, got {len(x)}")
         if len(y) != self.seed_length:
             raise LengthMismatch(f"seed must be {self.seed_length} bits, got {len(y)}")
 
     def to_matrix(self, y: BitString) -> np.ndarray:
         """Explicit hashing matrix for seed ``y`` (reference path)."""
-        if len(y) != self.seed_length:
-            raise LengthMismatch(f"seed must be {self.seed_length} bits, got {len(y)}")
-        q = self.seed_length
-        idx = (np.arange(self._m)[:, None] - np.arange(self._n)[None, :]) % q
-        return y.bits[idx]
+        self._check_lengths(y)
+        m, k = self._m, self._k
+        idx = (np.arange(m)[:, None] - np.arange(k)[None, :]) % self.seed_length
+        return np.hstack([y.bits[idx], np.eye(m, self._n - k, dtype=np.uint8)])
 
     def extract(self, x: BitString, y: BitString, method: str = "auto") -> BitString:
         """Hash ``x`` with the function selected by seed ``y``.
@@ -190,71 +193,53 @@ class ToeplitzExtractor(SeededExtractor):
         if method not in _METHODS:
             raise InvalidRange(f"unknown method {method!r}")
         x, y = BitString(x), BitString(y)
-        self._check_lengths(x, y)
+        self._check_lengths(y, x)
         if method == "matrix":
             return BitString(gf2_matvec(self.to_matrix(y), x))
-        return BitString(_cyclic_extract(y.bits, x.bits, self.seed_length, self._m, method))
+        k = self._k
+        out = _toeplitz_block(y.bits, x.bits[:k], method)
+        out[: self._n - k] ^= x.bits[k:]
+        return BitString(out)
 
 
-class ModifiedToeplitzExtractor(SeededExtractor):
+class ToeplitzExtractor(_ToeplitzBlockExtractor):
+    """Standard Toeplitz hashing: Ext(x, y) = T(y) . x over GF(2).
+
+    T(y) is the m x n Toeplitz matrix T[i, j] = y[(i - j) mod (n+m-1)],
+    the block with k = n.  The seed is n+m-1 bits; any 1 <= m <= n is
+    allowed.
+    """
+
+    vector_name = "ToeplitzHashing"
+    # each variant binds extract itself, so it can be wrapped per class
+    extract = _ToeplitzBlockExtractor.extract
+
+    @staticmethod
+    def _block_width(n: int, m: int) -> int:
+        return n
+
+    @staticmethod
+    def _max_output_length(n: int) -> int:
+        return n
+
+
+class ModifiedToeplitzExtractor(_ToeplitzBlockExtractor):
     """Modified Toeplitz hashing: Ext(x, y) = (T'(y) || I_m) . x.
 
-    T'(y) is the m x (n-m) Toeplitz block T'[i, j] = y[(i - j) mod (n-1)],
-    so only n-1 seed bits are needed.  The identity block passes the last
+    T'(y) is the m x (n-m) block T'[i, j] = y[(i - j) mod (n-1)], so
+    only n-1 seed bits are needed.  The identity block passes the last
     m input bits through, XORed onto the Toeplitz part.  Requires m < n:
     at m = n the Toeplitz block would have no columns while the seed
     would still have n-1 bits, which leaves the construction ill-posed.
     """
 
     vector_name = "ModifiedToeplitzHashing"
+    extract = _ToeplitzBlockExtractor.extract
 
-    def __init__(self, input_length: int, output_length: int):
-        if input_length < 2:
-            raise InvalidRange("input_length must be at least 2")
-        if not 1 <= output_length < input_length:
-            raise InvalidRange(
-                f"output_length must be in [1, {input_length - 1}], got {output_length}"
-            )
-        self._n = input_length
-        self._m = output_length
+    @staticmethod
+    def _block_width(n: int, m: int) -> int:
+        return n - m
 
-    @property
-    def input_length(self) -> int:
-        return self._n
-
-    @property
-    def output_length(self) -> int:
-        return self._m
-
-    @property
-    def seed_length(self) -> int:
-        return self._n - 1
-
-    @classmethod
-    def calculate_length(cls, extractor_type, input_length, relative_source_entropy, error_bound):
-        return calculate_length(extractor_type, input_length, relative_source_entropy, error_bound)
-
-    def _check_lengths(self, x: BitString, y: BitString):
-        if len(x) != self.input_length:
-            raise LengthMismatch(f"input must be {self.input_length} bits, got {len(x)}")
-        if len(y) != self.seed_length:
-            raise LengthMismatch(f"seed must be {self.seed_length} bits, got {len(y)}")
-
-    def to_matrix(self, y: BitString) -> np.ndarray:
-        if len(y) != self.seed_length:
-            raise LengthMismatch(f"seed must be {self.seed_length} bits, got {len(y)}")
-        q = self.seed_length
-        n, m = self._n, self._m
-        idx = (np.arange(m)[:, None] - np.arange(n - m)[None, :]) % q
-        return np.hstack([y.bits[idx], np.eye(m, dtype=np.uint8)])
-
-    def extract(self, x: BitString, y: BitString, method: str = "auto") -> BitString:
-        if method not in _METHODS:
-            raise InvalidRange(f"unknown method {method!r}")
-        x, y = BitString(x), BitString(y)
-        self._check_lengths(x, y)
-        if method == "matrix":
-            return BitString(gf2_matvec(self.to_matrix(y), x))
-        n, m = self._n, self._m
-        head = _cyclic_extract(y.bits, x.bits[: n - m], self.seed_length, m, method)
-        return BitString(head ^ x.bits[n - m :])
+    @staticmethod
+    def _max_output_length(n: int) -> int:
+        return n - 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -142,17 +143,25 @@ class ImplementationAdapter:
         return argv
 
     def _run(self, argv: list, timeout: float) -> str:
+        # a session of its own makes the case one process group, so a timeout
+        # also ends whatever the command started (a shell's children, say)
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
-        except subprocess.TimeoutExpired as exc:
-            raise AdapterCrashed(f"timed out after {timeout} s") from exc
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True,
+            )
         except OSError as exc:
             raise AdapterCrashed(f"could not launch {argv[0]!r}: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired as exc:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                raise AdapterCrashed(f"timed out after {timeout} s") from exc
         if proc.returncode != 0:
-            raise AdapterCrashed(
-                f"exit code {proc.returncode}: {proc.stderr.strip()[:200]}"
-            )
-        return proc.stdout
+            raise AdapterCrashed(f"exit code {proc.returncode}: {stderr.strip()[:200]}")
+        return stdout
 
 
 @dataclass

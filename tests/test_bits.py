@@ -61,6 +61,24 @@ def test_bitstring_basics():
         BitString([0, 2])
 
 
+@pytest.mark.parametrize("length", [0, 1, 7, 9, 127, 1 << 20])
+def test_int_round_trip(length):
+    rng = np.random.default_rng(length)
+    b = BitString.random(length, rng)
+    value = b.to_int()
+    assert value.bit_length() <= length
+    assert BitString.from_int(value, length) == b
+    if length <= 127:  # MSB first: bit 0 has weight 2^(length-1)
+        assert value == sum(bit << (length - 1 - i) for i, bit in enumerate(b))
+    # zero-extension on the left, and values that do not fit are refused
+    assert BitString.from_int(value, length + 3) == BitString.zeros(3) + b
+    assert BitString.from_int(1, length + 1) == BitString.zeros(length) + BitString("1")
+    with pytest.raises(ValueError):
+        BitString.from_int(1 << length, length)
+    with pytest.raises(ValueError):
+        BitString.from_int(-1, length)
+
+
 def test_bitstring_immutable_and_hashable():
     b = BitString("110")
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from privamp import (
     BitString,
@@ -10,7 +12,7 @@ from privamp import (
     hex_decode,
 )
 from privamp.exceptions import InvalidRange, LengthMismatch, PrecisionLoss
-from privamp.toeplitz import _conv_exact, _conv_fft
+from privamp.toeplitz import _block_exact, _block_fft
 
 
 # -- output length ----------------------------------------------------
@@ -227,8 +229,8 @@ def test_extract_accepts_matrix_product_definition():
 
 
 def test_fft_residual_guard(monkeypatch):
-    c = np.ones(64, dtype=np.uint8)
-    x = np.ones(64, dtype=np.uint8)
+    d = np.ones(64, dtype=np.uint8)
+    x = np.ones(33, dtype=np.uint8)
     real_irfft = np.fft.irfft
 
     def noisy_irfft(*args, **kwargs):
@@ -236,7 +238,7 @@ def test_fft_residual_guard(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
     with pytest.raises(PrecisionLoss):
-        _conv_fft(c, x)
+        _block_fft(d, x)
     # strict fft mode propagates the error; auto mode falls back to exact
     ext = ToeplitzExtractor(8, 4)
     xb, yb = BitString.ones(8), BitString.ones(11)
@@ -246,12 +248,43 @@ def test_fft_residual_guard(monkeypatch):
 
 
 def test_exact_convolution_against_numpy():
+    # the block kernel reads coefficients k-1 .. q-1 of the linear convolution
     rng = np.random.default_rng(8)
     for _ in range(30):
-        a = rng.integers(0, 2, size=rng.integers(1, 40), dtype=np.uint8)
-        b = rng.integers(0, 2, size=rng.integers(1, 40), dtype=np.uint8)
-        expected = np.convolve(a.astype(np.int64), b.astype(np.int64)) & 1
-        assert np.array_equal(_conv_exact(a, b), expected.astype(np.uint8))
+        k, m = rng.integers(1, 40, size=2)
+        d = rng.integers(0, 2, size=m + k - 1, dtype=np.uint8)
+        x = rng.integers(0, 2, size=k, dtype=np.uint8)
+        expected = np.convolve(d.astype(np.int64), x.astype(np.int64))[k - 1 : m + k - 1] & 1
+        assert np.array_equal(_block_exact(d, x), expected.astype(np.uint8))
+        assert np.array_equal(_block_fft(d, x), expected.astype(np.uint8))
+
+
+@st.composite
+def edge_shapes(draw):
+    """(extractor, x1, x2, y) at the shapes where the block kernel's indices meet their bounds."""
+    n = draw(st.integers(1, 40))
+    variants = [("std", 1), ("std", n)]  # m = n: the seed holds exactly m+n-1 diagonals
+    if n >= 2:
+        variants += [("mod", 1), ("mod", n - 1)]  # m = n-1: a one-column block, k = 1
+    kind, m = draw(st.sampled_from(variants))
+    ext = ToeplitzExtractor(n, m) if kind == "std" else ModifiedToeplitzExtractor(n, m)
+
+    def bits(length):
+        return BitString(draw(st.lists(st.integers(0, 1), min_size=length, max_size=length)))
+
+    return ext, bits(n), bits(n), bits(ext.seed_length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_shapes())
+@example((ToeplitzExtractor(1, 1), BitString("1"), BitString("1"), BitString("1")))
+@example((ModifiedToeplitzExtractor(2, 1), BitString("11"), BitString("01"), BitString("1")))
+def test_block_kernel_edge_shapes(case):
+    ext, x1, x2, y = case
+    ref1, ref2 = ext.extract(x1, y, method="matrix"), ext.extract(x2, y, method="matrix")
+    for method in ("auto", "fft", "exact", "matrix"):
+        assert ext.extract(x1, y, method=method) == ref1
+        assert ext.extract(x1 ^ x2, y, method=method) == ref1 ^ ref2
 
 
 def test_two_universality_second_size():

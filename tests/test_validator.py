@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ def test_per_case_timeout():
     report = validator.validate(mode="random", sample_size=2, rng_seed=0, timeout=0.5)
     assert report.n_crashed == 2
     assert all("timed out" in case.error for case in report.failed)
+
+
+def test_timeout_kills_the_whole_process_group(tmp_path):
+    # the shell's background job outlives the shell unless its group is killed
+    marker = tmp_path / "grandchild-survived"
+    validator = Validator(ToeplitzExtractor(2, 1))
+    validator.add_implementation(
+        label="forker",
+        command=f'sh -c "(sleep 1; touch {marker}) & wait" $SEED$ $INPUT$',
+        serializers={"$INPUT$": "binary-string", "$SEED$": "binary-string"},
+        probe=False,
+    )
+    started = time.monotonic()
+    report = validator.validate(mode="random", sample_size=1, rng_seed=0, timeout=0.3, workers=1)
+    assert report.n_crashed == 1 and "timed out" in report.failed[0].error
+    time.sleep(max(0.0, started + 2.0 - time.monotonic()))
+    assert not marker.exists()
 
 
 def test_files_mode_round_trip(tmp_path):
