@@ -39,8 +39,9 @@ class BitString:
 
     def __init__(self, bits):
         if isinstance(bits, BitString):
-            arr = bits._bits
-        elif isinstance(bits, str):
+            self._bits = bits._bits  # already validated and read-only
+            return
+        if isinstance(bits, str):
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         elif isinstance(bits, np.ndarray):
             arr = bits.astype(np.uint8)

@@ -5,7 +5,19 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from .bits import BitString
-from .exceptions import InvalidRange
+from .exceptions import InvalidRange, LengthMismatch
+
+
+def check_source_parameters(
+    input_length: int, relative_source_entropy: float, error_bound: float
+) -> None:
+    """Range checks shared by the output-length calculations."""
+    if input_length < 1:
+        raise InvalidRange("input_length must be positive")
+    if not 0.0 < relative_source_entropy <= 1.0:
+        raise InvalidRange("relative_source_entropy must be in (0, 1]")
+    if not 0.0 < error_bound < 1.0:
+        raise InvalidRange("error_bound must be in (0, 1)")
 
 
 class SeededExtractor(ABC):
@@ -33,6 +45,17 @@ class SeededExtractor(ABC):
     @abstractmethod
     def extract(self, x: BitString, y: BitString) -> BitString:
         """Apply the extractor to input ``x`` and uniform seed ``y``."""
+
+    def _check_lengths(self, x, y) -> tuple[BitString | None, BitString]:
+        """``x`` and ``y`` as BitStrings of the input and seed lengths; ``x`` may be None."""
+        if x is not None:
+            x = BitString(x)
+            if len(x) != self.input_length:
+                raise LengthMismatch(f"input must be {self.input_length} bits, got {len(x)}")
+        y = BitString(y)
+        if len(y) != self.seed_length:
+            raise LengthMismatch(f"seed must be {self.seed_length} bits, got {len(y)}")
+        return x, y
 
     def header_params(self) -> dict[str, int]:
         """Extractor-specific parameters carried in test vector headers."""

@@ -38,6 +38,7 @@ from .bits import BitString, hex_decode
 from .exceptions import (
     InvalidRange,
     LengthInconsistency,
+    LengthMismatch,
     MissingOutputs,
     ParseError,
     PrivampError,
@@ -52,6 +53,13 @@ DETERMINISTIC_TIMESTAMP = "Thu Jan  1 00:00:00 1970"
 _FIELD_RE = re.compile(r"^(\w+)\s*=\s*(\S*)\s*$")
 _HEADER_KV_RE = re.compile(r"^#\s*([^:]+?)\s*:\s*(.+?)\s*$")
 
+#: vector_name -> (SeededExtractor.create kind, {header parameter: create keyword})
+_KINDS = {
+    "ToeplitzHashing": ("toeplitz", {}),
+    "ModifiedToeplitzHashing": ("modified-toeplitz", {}),
+    "TrevisanExtractor": ("trevisan", {"One-bit seed length": "one_bit_extractor_seed_length"}),
+}
+
 
 @dataclass(frozen=True)
 class VectorConfig:
@@ -64,40 +72,24 @@ class VectorConfig:
 
     @property
     def seed_length(self) -> int:
-        if self.name == "ToeplitzHashing":
-            return self.input_length + self.output_length - 1
-        if self.name == "ModifiedToeplitzHashing":
-            return self.input_length - 1
-        if self.name == "TrevisanExtractor":
-            t = dict(self.params).get("One-bit seed length")
-            if t is None:
-                raise ParseError("Trevisan header must carry 'One-bit seed length'")
-            try:
-                return int(t) ** 2
-            except ValueError:
-                raise ParseError(f"invalid one-bit seed length {t!r}") from None
-        raise ParseError(f"unknown extractor name {self.name!r}")
+        return self.build_extractor().seed_length
 
     def build_extractor(self) -> SeededExtractor:
-        if self.name == "ToeplitzHashing":
-            return SeededExtractor.create(
-                "toeplitz", input_length=self.input_length, output_length=self.output_length
-            )
-        if self.name == "ModifiedToeplitzHashing":
-            return SeededExtractor.create(
-                "modified-toeplitz",
-                input_length=self.input_length,
-                output_length=self.output_length,
-            )
-        if self.name == "TrevisanExtractor":
-            t = int(dict(self.params)["One-bit seed length"])
-            return SeededExtractor.create(
-                "trevisan",
-                input_length=self.input_length,
-                output_length=self.output_length,
-                one_bit_extractor_seed_length=t,
-            )
-        raise ParseError(f"unknown extractor name {self.name!r}")
+        if self.name not in _KINDS:
+            raise ParseError(f"unknown extractor name {self.name!r}")
+        kind, keywords = _KINDS[self.name]
+        params = dict(self.params)
+        kwargs = {}
+        for key, keyword in keywords.items():
+            if key not in params:
+                raise ParseError(f"{self.name} header must carry {key!r}")
+            try:
+                kwargs[keyword] = int(params[key])
+            except ValueError:
+                raise ParseError(f"invalid {key} {params[key]!r}") from None
+        return SeededExtractor.create(
+            kind, input_length=self.input_length, output_length=self.output_length, **kwargs
+        )
 
 
 def config_for(ext: SeededExtractor) -> VectorConfig:
@@ -140,16 +132,6 @@ class TestVectorFile:
                 lines.append(f"OUTPUT = {case.output.to_hex()}")
         return "\n".join(lines) + "\n"
 
-    def __eq__(self, other):
-        if not isinstance(other, TestVectorFile):
-            return NotImplemented
-        return (
-            self.header == other.header
-            and self.section == other.section
-            and self.cases == other.cases
-            and self.extractor_config == other.extractor_config
-        )
-
 
 def generate_test_vectors(
     ext: SeededExtractor,
@@ -189,11 +171,8 @@ def generate_test_vectors(
     return TestVectorFile(header=header, section=SECTION, cases=cases, extractor_config=config)
 
 
-_KNOWN_NAMES = ("ToeplitzHashing", "ModifiedToeplitzHashing", "TrevisanExtractor")
-
-
 def _config_from_header(header: list) -> VectorConfig | None:
-    name = next((h.strip() for h in header if h.strip() in _KNOWN_NAMES), None)
+    name = next((h.strip() for h in header if h.strip() in _KINDS), None)
     n = m = None
     ratio = None
     params = []
@@ -229,14 +208,10 @@ def _config_from_header(header: list) -> VectorConfig | None:
 
 
 def _decode_field(value: str, length: int, line_no: int, name: str) -> BitString:
-    expected = ((length + 7) // 8) * 2
-    if len(value) != expected:
-        raise LengthInconsistency(
-            f"{name} has {len(value)} hex chars, expected {expected} for {length} bits",
-            line=line_no,
-        )
     try:
         return hex_decode(value, length)
+    except LengthMismatch as exc:
+        raise LengthInconsistency(f"{name}: {exc}", line=line_no) from None
     except PrivampError as exc:
         raise ParseError(f"{name}: {exc}", line=line_no) from None
 
@@ -306,7 +281,10 @@ def parse_vector_file(text: str, extractor_config: VectorConfig | None = None) -
             if required not in raw:
                 raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
         x = _decode_field(raw["INPUT"][0], config.input_length, raw["INPUT"][1], "INPUT")
-        y = _decode_field(raw["SEED"][0], config.seed_length, raw["SEED"][1], "SEED")
+        if expected_count == 0:
+            # once per file, and only after an INPUT has matched the declared length
+            seed_length = config.seed_length
+        y = _decode_field(raw["SEED"][0], seed_length, raw["SEED"][1], "SEED")
         out = None
         if "OUTPUT" in raw:
             out = _decode_field(raw["OUTPUT"][0], config.output_length, raw["OUTPUT"][1], "OUTPUT")

@@ -32,8 +32,8 @@ import mpmath
 import numpy as np
 
 from .bits import BitString, gf2_matvec
-from .exceptions import InvalidRange, LengthMismatch, PrecisionLoss
-from .extractor import SeededExtractor
+from .exceptions import InvalidRange, PrecisionLoss
+from .extractor import SeededExtractor, check_source_parameters
 
 _METHODS = ("auto", "fft", "exact", "matrix")
 
@@ -60,12 +60,7 @@ def calculate_length(
     """
     if extractor_type not in ("quantum", "classical"):
         raise InvalidRange(f"extractor_type must be quantum or classical, got {extractor_type!r}")
-    if input_length < 1:
-        raise InvalidRange("input_length must be positive")
-    if not 0.0 < relative_source_entropy <= 1.0:
-        raise InvalidRange("relative_source_entropy must be in (0, 1]")
-    if not 0.0 < error_bound < 1.0:
-        raise InvalidRange("error_bound must be in (0, 1)")
+    check_source_parameters(input_length, relative_source_entropy, error_bound)
 
     with mpmath.workprec(_PRECISION_BITS):
         k = mpmath.mpf(relative_source_entropy) * input_length
@@ -169,15 +164,9 @@ class _ToeplitzBlockExtractor(SeededExtractor):
     def calculate_length(cls, extractor_type, input_length, relative_source_entropy, error_bound):
         return calculate_length(extractor_type, input_length, relative_source_entropy, error_bound)
 
-    def _check_lengths(self, y: BitString, x: BitString | None = None):
-        if x is not None and len(x) != self.input_length:
-            raise LengthMismatch(f"input must be {self.input_length} bits, got {len(x)}")
-        if len(y) != self.seed_length:
-            raise LengthMismatch(f"seed must be {self.seed_length} bits, got {len(y)}")
-
     def to_matrix(self, y: BitString) -> np.ndarray:
         """Explicit hashing matrix for seed ``y`` (reference path)."""
-        self._check_lengths(y)
+        _, y = self._check_lengths(None, y)
         m, k = self._m, self._k
         idx = (np.arange(m)[:, None] - np.arange(k)[None, :]) % self.seed_length
         return np.hstack([y.bits[idx], np.eye(m, self._n - k, dtype=np.uint8)])
@@ -192,8 +181,7 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         """
         if method not in _METHODS:
             raise InvalidRange(f"unknown method {method!r}")
-        x, y = BitString(x), BitString(y)
-        self._check_lengths(y, x)
+        x, y = self._check_lengths(x, y)
         if method == "matrix":
             return BitString(gf2_matvec(self.to_matrix(y), x))
         k = self._k

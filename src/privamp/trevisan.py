@@ -13,33 +13,52 @@ evaluation in :mod:`privamp.fields` is ascending.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .bits import BitString
-from .exceptions import InvalidRange, LengthMismatch, NoFeasibleOutput, TooManySets
-from .extractor import SeededExtractor
+from .exceptions import InvalidRange, NoFeasibleOutput, TooManySets
+from .extractor import SeededExtractor, check_source_parameters
 from .fields import GF
 
 #: Overlap parameter guaranteed by the finite-field polynomial design.
 DEFAULT_OVERLAP_R = 2 * math.e
 
 #: Above this many set elements (m*t) verification samples indices
-#: instead of checking every one; the per-index check stays exact.
+#: instead of checking every one (the per-index check stays exact), and
+#: ``WeakDesign.achieved_r`` is None.
 DEFAULT_VERIFY_CAP = 100_000
+
+
+def _one_bit_shape(input_length: int, seed_length: int) -> tuple[int, int]:
+    """Field degree l = t/2 and chunk count s = ceil(n/l) for one-bit seed length t."""
+    if seed_length < 2 or seed_length % 2:
+        raise InvalidRange(f"one-bit seed length must be even and >= 2, got {seed_length}")
+    l = seed_length // 2
+    return l, -(-input_length // l)
+
+
+def _degree_cap(m: int, t: int) -> int:
+    """Least polynomial degree c with m <= t^(c+1), so m sets get distinct polynomials."""
+    c = 0
+    while t ** (c + 1) < m:
+        c += 1
+    return c
 
 
 class WeakDesign:
     """A family of m size-t subsets of {0, ..., d-1}.
 
     The defining bound is sum_{j<i} 2^{|S_i cap S_j|} <= r*m for every i.
-    The constructor validates sizes and ranges, and, when m*t is within
-    ``verify_cap``, computes the achieved maximum of that sum divided by
-    m (``achieved_r``).  It does not reject families that exceed a
-    target r — :func:`verify_design` exists to report exactly that.
+    The constructor validates sizes and ranges.  ``achieved_r``, the
+    achieved maximum of that sum divided by m, is computed on first
+    access, and is None when m*t exceeds ``DEFAULT_VERIFY_CAP``.  A
+    design that exceeds a target r is not rejected — :func:`verify_design`
+    exists to report exactly that.
     """
 
-    def __init__(self, sets, seed_length: int, verify_cap: int = DEFAULT_VERIFY_CAP):
+    def __init__(self, sets, seed_length: int):
         sets = [tuple(sorted(int(e) for e in s)) for s in sets]
         if not sets:
             raise InvalidRange("a weak design needs at least one set")
@@ -55,11 +74,12 @@ class WeakDesign:
         self.m = len(sets)
         self.t = t
         self.d = seed_length
-        self.achieved_r = None
-        if self.m * self.t <= verify_cap:
-            self.achieved_r = max(
-                (self._overlap_sum(i) / self.m for i in range(self.m)), default=0.0
-            )
+
+    @functools.cached_property
+    def achieved_r(self) -> float | None:
+        if self.m * self.t > DEFAULT_VERIFY_CAP:
+            return None
+        return max((self._overlap_sum(i) / self.m for i in range(self.m)), default=0.0)
 
     def _overlap_sum(self, i: int) -> int:
         si = set(self.sets[i])
@@ -81,15 +101,13 @@ class FiniteFieldPolynomialDesign(WeakDesign):
     is enforced as a sanity cap.
     """
 
-    def __init__(self, m: int, t: int, verify_cap: int = DEFAULT_VERIFY_CAP):
+    def __init__(self, m: int, t: int):
         if m < 1:
             raise InvalidRange("m must be at least 1")
         field = GF(t)  # raises NotPrimePower for invalid t
         if m > t**t:
             raise TooManySets(f"m = {m} exceeds the sanity cap t**t = {t**t}")
-        c = 0
-        while t ** (c + 1) < m:
-            c += 1
+        c = _degree_cap(m, t)
         sets = []
         for i in range(m):
             coeffs = []
@@ -100,14 +118,14 @@ class FiniteFieldPolynomialDesign(WeakDesign):
             sets.append(
                 tuple(a * t + field.eval_poly_i(coeffs, a) for a in range(t))
             )
-        super().__init__(sets, t * t, verify_cap=verify_cap)
+        super().__init__(sets, t * t)
         self.degree_cap = c
         self.field = field
 
 
-def generate_design(m: int, t: int, verify_cap: int = DEFAULT_VERIFY_CAP) -> FiniteFieldPolynomialDesign:
+def generate_design(m: int, t: int) -> FiniteFieldPolynomialDesign:
     """Build the finite-field polynomial weak design with m sets over GF(t)."""
-    return FiniteFieldPolynomialDesign(m, t, verify_cap=verify_cap)
+    return FiniteFieldPolynomialDesign(m, t)
 
 
 @dataclass
@@ -210,12 +228,9 @@ class PolynomialOneBitExtractor(SeededExtractor):
     def __init__(self, input_length: int, seed_length: int):
         if input_length < 1:
             raise InvalidRange("input_length must be positive")
-        if seed_length < 2 or seed_length % 2:
-            raise InvalidRange(f"seed_length must be even and >= 2, got {seed_length}")
         self._n = input_length
-        self._l = seed_length // 2
+        self._l, self._chunks = _one_bit_shape(input_length, seed_length)
         self._field = GF(2**self._l)
-        self._chunks = -(-input_length // self._l)
 
     @property
     def input_length(self) -> int:
@@ -238,10 +253,7 @@ class PolynomialOneBitExtractor(SeededExtractor):
         return self._chunks
 
     def extract_bit(self, x: BitString, y: BitString) -> int:
-        if len(x) != self._n:
-            raise LengthMismatch(f"input must be {self._n} bits, got {len(x)}")
-        if len(y) != 2 * self._l:
-            raise LengthMismatch(f"seed must be {2 * self._l} bits, got {len(y)}")
+        x, y = self._check_lengths(x, y)
         l, s = self._l, self._chunks
         alpha = y[:l].to_int()
         beta = y[l:].to_int()
@@ -254,7 +266,7 @@ class PolynomialOneBitExtractor(SeededExtractor):
         return (value & beta).bit_count() & 1
 
     def extract(self, x: BitString, y: BitString) -> BitString:
-        return BitString([self.extract_bit(BitString(x), BitString(y))])
+        return BitString([self.extract_bit(x, y)])
 
 
 @dataclass(frozen=True)
@@ -295,19 +307,10 @@ def calculate_length_trevisan(
     k1 = l + 2*log2(1/e1) + log2(s).  The result is monotone
     non-decreasing in both the source entropy and the error bound.
     """
-    if input_length < 1:
-        raise InvalidRange("input_length must be positive")
-    if not 0.0 < relative_source_entropy <= 1.0:
-        raise InvalidRange("relative_source_entropy must be in (0, 1]")
-    if not 0.0 < error_bound < 1.0:
-        raise InvalidRange("error_bound must be in (0, 1)")
+    check_source_parameters(input_length, relative_source_entropy, error_bound)
     t = one_bit_seed_length
     GF(t)  # raises NotPrimePower when t is invalid
-    if t % 2:
-        raise InvalidRange("one_bit_seed_length must be even (seed = 2 field elements)")
-
-    l = t // 2
-    s = -(-input_length // l)
+    l, s = _one_bit_shape(input_length, t)
     k = relative_source_entropy * input_length
     r = DEFAULT_OVERLAP_R
 
@@ -320,12 +323,9 @@ def calculate_length_trevisan(
         raise NoFeasibleOutput(
             "source entropy too low for even one output bit at these parameters"
         )
-    # grow a feasible lower bound by doubling, then binary search the
-    # boundary (the feasibility predicate is monotone decreasing in m)
-    lo = 1
-    while lo < cap and feasible(min(cap, lo * 2)):
-        lo = min(cap, lo * 2)
-    hi = min(cap, lo * 2)
+    # binary search the boundary: the feasibility predicate is monotone
+    # decreasing in m
+    lo, hi = 1, cap
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if feasible(mid):
@@ -333,10 +333,6 @@ def calculate_length_trevisan(
         else:
             hi = mid - 1
     m = lo
-
-    c = 0
-    while t ** (c + 1) < m:
-        c += 1
     e1 = error_bound / m
     k1 = _one_bit_entropy_required(l, s, e1)
     params = TrevisanParams(
@@ -345,7 +341,7 @@ def calculate_length_trevisan(
         field_degree=l,
         chunk_count=s,
         seed_length=t * t,
-        degree_cap=c,
+        degree_cap=_degree_cap(m, t),
         overlap_r=r,
         per_bit_error=e1,
         one_bit_entropy_required=k1,
@@ -381,11 +377,8 @@ class TrevisanExtractor(SeededExtractor):
         input_length: int,
         output_length: int,
         one_bit_extractor_seed_length: int,
-        verify_cap: int = DEFAULT_VERIFY_CAP,
     ) -> "TrevisanExtractor":
-        design = FiniteFieldPolynomialDesign(
-            output_length, one_bit_extractor_seed_length, verify_cap=verify_cap
-        )
+        design = FiniteFieldPolynomialDesign(output_length, one_bit_extractor_seed_length)
         one_bit = PolynomialOneBitExtractor(input_length, one_bit_extractor_seed_length)
         return cls(design, one_bit)
 
@@ -405,11 +398,7 @@ class TrevisanExtractor(SeededExtractor):
         return {"One-bit seed length": self.one_bit.seed_length}
 
     def extract(self, x: BitString, y: BitString) -> BitString:
-        x, y = BitString(x), BitString(y)
-        if len(x) != self.input_length:
-            raise LengthMismatch(f"input must be {self.input_length} bits, got {len(x)}")
-        if len(y) != self.seed_length:
-            raise LengthMismatch(f"seed must be {self.seed_length} bits, got {len(y)}")
+        x, y = self._check_lengths(x, y)
         return BitString(
             [self.one_bit.extract_bit(x, self.design.restrict(y, i)) for i in range(self.design.m)]
         )

@@ -15,6 +15,7 @@ ASCII '0'/'1' characters, "hex" is the package hex encoding.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shlex
@@ -143,8 +144,8 @@ class ImplementationAdapter:
         return argv
 
     def _run(self, argv: list, timeout: float) -> str:
-        # a session of its own makes the case one process group, so a timeout
-        # also ends whatever the command started (a shell's children, say)
+        # a session of its own makes the case one process group, so killing
+        # the group also ends whatever the command started (a shell's children, say)
         try:
             proc = subprocess.Popen(
                 argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -156,9 +157,12 @@ class ImplementationAdapter:
             try:
                 stdout, stderr = proc.communicate(timeout=timeout)
             except subprocess.TimeoutExpired as exc:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
                 raise AdapterCrashed(f"timed out after {timeout} s") from exc
+            finally:
+                # the group ends with the case, also when the command exits
+                # and leaves a background job behind
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
         if proc.returncode != 0:
             raise AdapterCrashed(f"exit code {proc.returncode}: {stderr.strip()[:200]}")
         return stdout
@@ -314,7 +318,11 @@ class Validator:
             raise InvalidRange(f"unknown mode {mode!r}")
 
         if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "4"))
+            raw = os.environ.get(WORKERS_ENV, "4")
+            try:
+                workers = int(raw)
+            except ValueError:
+                raise InvalidRange(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
         workers = max(1, workers)
         if adapter.input_method == "files" and adapter.output_path is not None:
             workers = 1  # a fixed output path cannot be shared between cases

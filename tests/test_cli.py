@@ -157,6 +157,17 @@ def test_validate_unlaunchable_exits_4(capsys):
     assert "probe" in err
 
 
+def test_validate_bad_worker_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PRIVAMP_WORKERS", "four")
+    code, _, err = run(
+        capsys,
+        "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
+        "--command", refwrapper_command("toeplitz", 3, 2),
+    )
+    assert code == 2
+    assert "PRIVAMP_WORKERS" in err and "'four'" in err
+
+
 # -- vectors ------------------------------------------------------------------
 
 

@@ -213,6 +213,15 @@ def test_trevisan_header_params_round_trip():
     assert verify_response_file(rebuilt, parsed).passed
 
 
+@pytest.mark.parametrize("line", ["", "# One-bit seed length : two\n"])
+def test_trevisan_header_without_integer_seed_length_rejected(line):
+    ext = TrevisanExtractor.create(input_length=16, output_length=2, one_bit_extractor_seed_length=2)
+    text = generate_test_vectors(ext, count=2, rng_seed=8).render()
+    text = text.replace("# One-bit seed length : 2\n", line)
+    with pytest.raises(ParseError):
+        parse_vector_file(text)
+
+
 def test_config_name_matches_create_factory():
     for ext in extractors_under_test():
         again = SeededExtractor.create(

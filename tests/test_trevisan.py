@@ -319,20 +319,38 @@ def test_trevisan_length_monotone_in_entropy():
         assert m_high >= m_low
 
 
-def test_trevisan_length_params_are_consistent():
-    n, t = 2**16, 32
-    m, params = calculate_length_trevisan(n, 0.8, 1e-8, t)
+@pytest.mark.parametrize(
+    "n, rel, eps, t",
+    [
+        (2**16, 0.8, 1e-8, 32),
+        (2**12, 1.0, 1e-3, 2),  # t**t caps m at 4
+        (2**12, 1.0, 1e-3, 4),  # t**t caps m at 256
+        (1000, 0.9, 1e-4, 4),
+        (3001, 0.95, 1e-2, 16),
+        (2**18, 0.3, 1e-9, 64),
+    ],
+    ids=["n65536-t32", "n4096-t2-cap", "n4096-t4-cap", "n1000-t4", "n3001-t16", "n262144-t64"],
+)
+def test_trevisan_length_params_are_consistent(n, rel, eps, t):
+    m, params = calculate_length_trevisan(n, rel, eps, t)
     assert params.output_length == m
     assert params.field_degree == t // 2
     assert params.seed_length == t * t
     assert params.chunk_count == -(-n // (t // 2))
-    assert params.per_bit_error == 1e-8 / m
+    assert params.per_bit_error == eps / m
+    c = params.degree_cap
+    assert m <= t ** (c + 1) and (c == 0 or m > t**c)
     assert params.total_entropy_required <= params.source_entropy
-    # one more output bit must be infeasible (m is the largest)
-    k = 0.8 * n
-    e1 = 1e-8 / (m + 1)
-    k1 = params.field_degree + 2 * math.log2(1 / e1) + math.log2(params.chunk_count)
-    assert k < k1 + TWO_E * (m + 1)
+
+    def required(mm):
+        e1 = eps / mm
+        k1 = params.field_degree + 2 * math.log2(1 / e1) + math.log2(params.chunk_count)
+        return k1 + TWO_E * mm
+
+    # m is feasible, and one more output bit is infeasible or over the cap
+    k = rel * n
+    assert k >= required(m)
+    assert m + 1 > min(n, t**t) or k < required(m + 1)
 
 
 def test_trevisan_length_respects_design_cap():

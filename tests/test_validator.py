@@ -256,6 +256,21 @@ def test_timeout_kills_the_whole_process_group(tmp_path):
     assert not marker.exists()
 
 
+def test_clean_exit_kills_background_jobs(tmp_path):
+    # the shell exits at once and passes the case; its job must not outlive it
+    marker = tmp_path / "background-job-survived"
+    adapter = ImplementationAdapter(
+        label="background",
+        command=f'sh -c "(sleep 1; touch {marker}) >/dev/null 2>&1 & echo 0"',
+        serializers={},
+    )
+    started = time.monotonic()
+    out = adapter.run_case(BitString("01"), BitString("1"), 1, timeout=5.0)
+    assert out == BitString("0")
+    time.sleep(max(0.0, started + 1.5 - time.monotonic()))
+    assert not marker.exists()
+
+
 def test_files_mode_round_trip(tmp_path):
     script = tmp_path / "files_wrapper.sh"
     import privamp.refwrapper
