@@ -57,12 +57,16 @@ def _add_extractor_args(parser: argparse.ArgumentParser, need_m: bool = True):
     )
 
 
+def _one_bit_seed_length(args) -> int:
+    if args.one_bit_seed_length is None:
+        raise InvalidRange("--one-bit-seed-length is required for trevisan")
+    return args.one_bit_seed_length
+
+
 def _build_extractor(args) -> SeededExtractor:
     kwargs = dict(input_length=args.input_length, output_length=args.output_length)
     if args.type == "trevisan":
-        if args.one_bit_seed_length is None:
-            raise InvalidRange("--one-bit-seed-length is required for trevisan")
-        kwargs["one_bit_extractor_seed_length"] = args.one_bit_seed_length
+        kwargs["one_bit_extractor_seed_length"] = _one_bit_seed_length(args)
     return SeededExtractor.create(args.type, **kwargs)
 
 
@@ -93,10 +97,8 @@ def cmd_extract(args) -> int:
 
 def cmd_params(args) -> int:
     if args.type == "trevisan":
-        if args.one_bit_seed_length is None:
-            raise InvalidRange("--one-bit-seed-length is required for trevisan")
         m, params = calculate_length_trevisan(
-            args.input_length, args.entropy, args.error, args.one_bit_seed_length
+            args.input_length, args.entropy, args.error, _one_bit_seed_length(args)
         )
         print(m)
         print(f"seed length: {params.seed_length}")
@@ -158,8 +160,7 @@ def cmd_vectors_verify(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
     file = testvectors.parse_vector_file(text)
-    ext = file.extractor_config.build_extractor()
-    verification = testvectors.verify_response_file(ext, file)
+    verification = testvectors.verify_response_file(file.extractor_config.extractor, file)
     print(verification.summary())
     return EXIT_OK if verification.passed else EXIT_FAILURES
 

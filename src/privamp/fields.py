@@ -24,7 +24,8 @@ encoding ("lexicographically least").  For GF(2^l):
     8   x^8 + x^4 + x^3 + x + 1 0x11b
 
 Higher degrees and odd characteristics are found by the same search at
-construction time and cached.
+construction time and cached.  Each candidate is tested with Ben-Or's
+irreducibility test (Ben-Or, FOCS 1981).
 """
 
 from __future__ import annotations
@@ -33,17 +34,6 @@ import functools
 import operator
 
 from .exceptions import FieldMismatch, InvalidRange, NotPrimePower
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -67,18 +57,13 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def _prime_factors(n: int) -> list[int]:
+def _digits(n: int, p: int, count: int) -> tuple[int, ...]:
+    """The ``count`` lowest base-p digits of n, least significant first."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    for _ in range(count):
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
 
 
 # -- dense polynomials over GF(p), ascending coefficient tuples --------
@@ -142,21 +127,12 @@ def _ppowmod(base, exp, f, p):
 
 
 def _is_irreducible(f, p):
-    """Standard test: x^(p^e) = x mod f, gcd(x^(p^(e/r)) - x, f) = 1."""
-    e = len(f) - 1
-    if e == 1:
-        return True
-    x = (0, 1)
-    frob = {0: x}
-    u = x
-    for k in range(1, e + 1):
-        u = _ppowmod(u, p, f, p)
-        frob[k] = u
-    if frob[e] != x:
-        return False
-    for r in _prime_factors(e):
-        g = _pgcd(_psub(frob[e // r], x, p), f, p)
-        if len(g) != 1:  # zero or non-constant gcd: f shares a factor
+    """Ben-Or: monic f of degree e is irreducible iff gcd(x^(p^k) - x, f) = 1 for k <= e/2."""
+    x = u = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        u = _ppowmod(u, p, f, p)  # x^(p^k) mod f
+        # zero or non-constant gcd: f has a factor of degree dividing k
+        if len(_pgcd(_psub(u, x, p), f, p)) != 1:
             return False
     return True
 
@@ -165,12 +141,7 @@ def _is_irreducible(f, p):
 def min_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Monic irreducible of degree e over GF(p) with least integer encoding."""
     for tail in range(p**e):
-        coeffs = []
-        n = tail
-        for _ in range(e):
-            coeffs.append(n % p)
-            n //= p
-        f = tuple(coeffs) + (1,)
+        f = _digits(tail, p, e) + (1,)
         if _is_irreducible(f, p):
             return f
     raise AssertionError("irreducible polynomial must exist")
@@ -189,15 +160,9 @@ class GaloisField:
         self.order = order
         self.characteristic = p
         self.degree = e
-        if e == 1:
-            self.reduction_poly = None
-        else:
-            self.reduction_poly = min_irreducible(p, e)
+        self.reduction_poly = None if e == 1 else min_irreducible(p, e)
         if p == 2 and e > 1:
-            enc = 0
-            for k, c in enumerate(self.reduction_poly):
-                enc |= c << k
-            self._red2 = enc
+            self._red2 = self._encode(self.reduction_poly)
 
     # -- encoding helpers ----------------------------------------------
 
@@ -210,14 +175,6 @@ class GaloisField:
             raise InvalidRange(f"{a!r} is not an element encoding of {self}")
         return a
 
-    def _decode(self, a: int) -> tuple[int, ...]:
-        p = self.characteristic
-        coeffs = []
-        while a:
-            coeffs.append(a % p)
-            a //= p
-        return tuple(coeffs)
-
     def _encode(self, coeffs) -> int:
         p = self.characteristic
         value = 0
@@ -228,32 +185,23 @@ class GaloisField:
     # -- integer-level arithmetic ---------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
+        return self._add_signed(a, b, 1)
+
+    def sub_i(self, a: int, b: int) -> int:
+        return self._add_signed(a, b, -1)
+
+    def _add_signed(self, a: int, b: int, sign: int) -> int:
+        """a + sign*b, coefficient-wise."""
         self._check(a)
         self._check(b)
         p, e = self.characteristic, self.degree
         if e == 1:
-            return (a + b) % p
+            return (a + sign * b) % p
         if p == 2:
             return a ^ b
         return self._encode(
-            [(x + y) % p for x, y in zip(self._pad(a), self._pad(b))]
+            [(x + sign * y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))]
         )
-
-    def sub_i(self, a: int, b: int) -> int:
-        p, e = self.characteristic, self.degree
-        if p == 2:
-            return self.add_i(a, b)
-        self._check(a)
-        self._check(b)
-        if e == 1:
-            return (a - b) % p
-        return self._encode(
-            [(x - y) % p for x, y in zip(self._pad(a), self._pad(b))]
-        )
-
-    def _pad(self, a: int):
-        coeffs = self._decode(a)
-        return coeffs + (0,) * (self.degree - len(coeffs))
 
     def mul_i(self, a: int, b: int) -> int:
         self._check(a)
@@ -274,7 +222,7 @@ class GaloisField:
                 if a & top:
                     a ^= red
             return r
-        prod = _pmul(self._decode(a), self._decode(b), p)
+        prod = _pmul(_digits(a, p, e), _digits(b, p, e), p)
         return self._encode(_pmod(prod, self.reduction_poly, p))
 
     def pow_i(self, a: int, n: int) -> int:

@@ -27,6 +27,7 @@ on field names, '=' separators and hex validity.
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -72,7 +73,12 @@ class VectorConfig:
 
     @property
     def seed_length(self) -> int:
-        return self.build_extractor().seed_length
+        return self.extractor.seed_length
+
+    @functools.cached_property
+    def extractor(self) -> SeededExtractor:
+        """The extractor this header names, built once; not a field, so not compared."""
+        return self.build_extractor()
 
     def build_extractor(self) -> SeededExtractor:
         if self.name not in _KINDS:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .bits import BitString
 from .exceptions import InvalidRange, NoFeasibleOutput, TooManySets
 from .extractor import SeededExtractor, check_source_parameters
-from .fields import GF
+from .fields import GF, _digits
 
 #: Overlap parameter guaranteed by the finite-field polynomial design.
 DEFAULT_OVERLAP_R = 2 * math.e
@@ -40,7 +40,10 @@ def _one_bit_shape(input_length: int, seed_length: int) -> tuple[int, int]:
 
 
 def _degree_cap(m: int, t: int) -> int:
-    """Least polynomial degree c with m <= t^(c+1), so m sets get distinct polynomials."""
+    """Least polynomial degree c with m <= t^(c+1), so m sets get distinct polynomials.
+
+    m <= t^t exactly when c < t.
+    """
     c = 0
     while t ** (c + 1) < m:
         c += 1
@@ -105,16 +108,12 @@ class FiniteFieldPolynomialDesign(WeakDesign):
         if m < 1:
             raise InvalidRange("m must be at least 1")
         field = GF(t)  # raises NotPrimePower for invalid t
-        if m > t**t:
-            raise TooManySets(f"m = {m} exceeds the sanity cap t**t = {t**t}")
         c = _degree_cap(m, t)
+        if c >= t:  # t**t < m, so it is small
+            raise TooManySets(f"m = {m} exceeds the sanity cap t**t = {t**t}")
         sets = []
         for i in range(m):
-            coeffs = []
-            v = i
-            for _ in range(c + 1):
-                coeffs.append(v % t)
-                v //= t
+            coeffs = _digits(i, t, c + 1)
             sets.append(
                 tuple(a * t + field.eval_poly_i(coeffs, a) for a in range(t))
             )
@@ -318,7 +317,8 @@ def calculate_length_trevisan(
         e1 = error_bound / m
         return k >= _one_bit_entropy_required(l, s, e1) + r * m
 
-    cap = min(input_length, t**t)
+    # min(input_length, t**t), computing t**t only when it is below input_length
+    cap = input_length if _degree_cap(input_length, t) < t else t**t
     if not feasible(1):
         raise NoFeasibleOutput(
             "source entropy too low for even one output bit at these parameters"

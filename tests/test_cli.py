@@ -1,4 +1,5 @@
 from privamp.cli import main
+from privamp.trevisan import FiniteFieldPolynomialDesign
 
 from conftest import refwrapper_command
 
@@ -122,6 +123,15 @@ def test_params_trevisan(capsys):
     assert any("seed length: 4096" in l for l in lines)
 
 
+def test_params_trevisan_needs_t(capsys):
+    code, _, err = run(
+        capsys,
+        "params", "--type", "trevisan", "-n", "65536", "--entropy", "0.8", "--error", "1e-6",
+    )
+    assert code == 2
+    assert "--one-bit-seed-length" in err
+
+
 # -- validate -----------------------------------------------------------------
 
 
@@ -188,6 +198,28 @@ def test_vectors_gen_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "vectors", "verify", str(path))
     assert code == 0
     assert "6/6" in out
+
+
+def test_vectors_verify_trevisan_builds_the_design_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "trevisan.rsp"
+    code, _, _ = run(
+        capsys,
+        "vectors", "gen", "--type", "trevisan", "-n", "16", "-m", "3",
+        "--one-bit-seed-length", "4", "--count", "4", "--rng-seed", "5", "--out", str(path),
+    )
+    assert code == 0
+    builds = 0
+    original = FiniteFieldPolynomialDesign.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteFieldPolynomialDesign, "__init__", counted)
+    code, out, _ = run(capsys, "vectors", "verify", str(path))
+    assert code == 0 and "4/4" in out
+    assert builds == 1
 
 
 def test_vectors_verify_tampered_lists_counts(capsys, tmp_path, golden_rsp_text):

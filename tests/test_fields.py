@@ -104,6 +104,14 @@ def test_prime_power_decomposition():
 def test_min_irreducible_table():
     # lexicographically least by integer encoding; frozen convention
     expected = {2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B}
+    # higher degrees as x^l + tail; l = 128 is the GCM polynomial
+    tails = {
+        9: 0x3, 10: 0x9, 11: 0x5, 12: 0x9, 13: 0x1B, 14: 0x21, 15: 0x3, 16: 0x2B,
+        17: 0x9, 18: 0x9, 19: 0x27, 20: 0x9, 21: 0x5, 22: 0x3, 23: 0x21, 24: 0x1B,
+        25: 0x9, 26: 0x1B, 27: 0x27, 28: 0x3, 29: 0x5, 30: 0x3, 31: 0x9, 32: 0x8D,
+        64: 0x1B, 128: 0x87,
+    }
+    expected.update({l: (1 << l) | tail for l, tail in tails.items()})
     for l, enc in expected.items():
         coeffs = min_irreducible(2, l)
         got = sum(c << k for k, c in enumerate(coeffs))
@@ -143,9 +151,12 @@ def all_monic(p, deg):
         yield tuple(coeffs) + (1,)
 
 
-@pytest.mark.parametrize("p,e", [(2, 4), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize(
+    "p,e",
+    [(2, 4), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2), (2, 8), (2, 10), (3, 4), (5, 3), (11, 2)],
+)
 def test_min_irreducible_matches_trial_division_oracle(p, e):
-    from privamp.fields import _pmod
+    from privamp.fields import _is_irreducible, _pmod
 
     def is_irreducible_by_trial_division(f):
         for d in range(1, e // 2 + 1):
@@ -154,7 +165,9 @@ def test_min_irreducible_matches_trial_division_oracle(p, e):
                     return False
         return True
 
-    least = next(f for f in all_monic(p, e) if is_irreducible_by_trial_division(f))
+    oracle = [is_irreducible_by_trial_division(f) for f in all_monic(p, e)]
+    assert [_is_irreducible(f, p) for f in all_monic(p, e)] == oracle
+    least = next(f for f, irreducible in zip(all_monic(p, e), oracle) if irreducible)
     assert min_irreducible(p, e) == least
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -292,6 +293,14 @@ def test_strongness_smoke_exhaustive_exact_counts():
 def test_trevisan_length_infeasible():
     with pytest.raises(NoFeasibleOutput):
         calculate_length_trevisan(64, 0.1, 1e-6, 8)  # k = 6.4 < k1 + r
+
+
+def test_trevisan_length_cap_does_not_compute_huge_t_pow_t():
+    # t**t for t = 2**24 has ~4e8 bits; deciding m <= t**t must not build it
+    started = time.perf_counter()
+    with pytest.raises(NoFeasibleOutput):
+        calculate_length_trevisan(1000, 0.5, 1e-6, 2**24)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_trevisan_length_monotone_in_error_bound():
