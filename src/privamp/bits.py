@@ -160,12 +160,12 @@ def hex_decode(s: str, length: int) -> BitString:
         raise LengthMismatch(
             f"expected {expected_chars} hex chars for {length} bits, got {len(s)}"
         )
-    if length == 0:
-        return BitString.zeros(0)
-    bad = set(s) - _HEX_DIGITS
-    if bad:
-        raise InvalidHexDigit(f"invalid hex digit(s): {sorted(bad)}")
-    raw = np.frombuffer(bytes.fromhex(s), dtype=np.uint8)
+    try:
+        raw = np.frombuffer(bytes.fromhex(s), dtype=np.uint8)
+    except ValueError:
+        raw = None
+    if raw is None or raw.size != expected_chars // 2:  # fromhex skips whitespace
+        raise InvalidHexDigit(f"invalid hex digit(s): {sorted(set(s) - _HEX_DIGITS)}")
     bits = np.unpackbits(raw)
     pad = bits.size - length
     if pad and bits[:pad].any():

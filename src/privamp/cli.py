@@ -160,6 +160,8 @@ def cmd_vectors_verify(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
     file = testvectors.parse_vector_file(text)
+    if file.extractor_config is None:
+        raise ParseError("extractor configuration not found in header")
     verification = testvectors.verify_response_file(file.extractor_config.extractor, file)
     print(verification.summary())
     return EXIT_OK if verification.passed else EXIT_FAILURES

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ def test_hex_decode_examples():
         hex_decode("ff", 20)
     with pytest.raises(InvalidHexDigit):
         hex_decode("0g", 8)
+
+
+@pytest.mark.parametrize(
+    "text, length, bad",
+    [("0g", 8, "['g']"), ("de a", 16, "[' ']"), ("de  ", 16, "[' ']"), (" dea", 16, "[' ']")],
+)
+def test_hex_decode_rejects_non_digits_and_whitespace(text, length, bad):
+    # bytes.fromhex alone would skip the whitespace
+    with pytest.raises(InvalidHexDigit, match=re.escape(bad)):
+        hex_decode(text, length)
 
 
 def test_hex_round_trip_golden_seed():

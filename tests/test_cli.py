@@ -240,6 +240,14 @@ def test_vectors_verify_parse_error_exits_2(capsys, tmp_path):
     assert "line 4" in err
 
 
+def test_vectors_verify_file_without_config_exits_2(capsys, tmp_path):
+    path = tmp_path / "bare.rsp"
+    path.write_text("[EXTRACT]\n")
+    code, _, err = run(capsys, "vectors", "verify", str(path))
+    assert code == 2
+    assert "extractor configuration" in err
+
+
 def test_vectors_gen_to_stdout(capsys):
     code, out, _ = run(
         capsys,

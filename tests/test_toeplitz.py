@@ -10,6 +10,7 @@ from privamp import (
     calculate_length,
     gf2_matvec,
     hex_decode,
+    toeplitz,
 )
 from privamp.exceptions import InvalidRange, LengthMismatch, PrecisionLoss
 from privamp.toeplitz import _block_exact, _block_fft
@@ -247,6 +248,25 @@ def test_fft_residual_guard(monkeypatch):
     assert ext.extract(xb, yb, method="auto") == ext.extract(xb, yb, method="matrix")
 
 
+def test_fft_residual_guard_multi_block(monkeypatch):
+    monkeypatch.setattr(toeplitz, "_BLOCK", 4)
+    monkeypatch.setattr(toeplitz, "_BATCH", 8)  # one 8-point frame per call
+    d = np.zeros(29, dtype=np.uint8)  # m = 10, k = 20: 3 output blocks, 5 input blocks
+    d[24:] = 1  # diagonals that output blocks 1 and 2 reach, block 0 does not
+    x = np.ones(20, dtype=np.uint8)
+    assert np.array_equal(_block_fft(d, x), _block_exact(d, x))
+    real_irfft = np.fft.irfft
+
+    def noisy_irfft(a, *args, **kwargs):
+        # noise only where the spectrum is non-zero: block 0 stays clean, so
+        # the check has to cover every block, not the first
+        return real_irfft(a, *args, **kwargs) + 0.3 * (np.abs(a[..., :1]) > 0)
+
+    monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
+    with pytest.raises(PrecisionLoss):
+        _block_fft(d, x)
+
+
 def test_exact_convolution_against_numpy():
     # the block kernel reads coefficients k-1 .. q-1 of the linear convolution
     rng = np.random.default_rng(8)
@@ -285,6 +305,54 @@ def test_block_kernel_edge_shapes(case):
     for method in ("auto", "fft", "exact", "matrix"):
         assert ext.extract(x1, y, method=method) == ref1
         assert ext.extract(x1 ^ x2, y, method=method) == ref1 ^ ref2
+
+
+@st.composite
+def block_crossing_shapes(draw):
+    """(block size, extractor, x, y) with m and k spanning many partitioned-FFT blocks."""
+    block = draw(st.sampled_from([1, 4, 64]))
+    n = draw(st.integers(2, 200))
+    if draw(st.booleans()):
+        ext = ToeplitzExtractor(n, draw(st.integers(1, n)))
+    else:
+        ext = ModifiedToeplitzExtractor(n, draw(st.integers(1, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return block, ext, BitString.random(n, rng), BitString.random(ext.seed_length, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_crossing_shapes())
+def test_partitioned_fft_matches_matrix_and_exact(case):
+    block, ext, x, y = case
+    ref = ext.extract(x, y, method="matrix")
+    assert ext.extract(x, y, method="exact") == ref
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toeplitz, "_BLOCK", block)
+        assert ext.extract(x, y, method="fft") == ref
+        assert ext.extract(x, y, method="auto") == ref
+
+
+def test_partitioned_fft_real_block_size():
+    # 300001 bits at the production block size: ragged input and output blocks
+    rng = np.random.default_rng(300001)
+    ext = ToeplitzExtractor(300001, 150000)
+    x = BitString.random(ext.input_length, rng)
+    y = BitString.random(ext.seed_length, rng)
+    assert max(ext.output_length, ext.input_length) > toeplitz._BLOCK
+    assert ext.extract(x, y, method="fft") == ext.extract(x, y, method="exact")
+
+
+def test_single_block_extract_starts_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single-block extract started a thread pool")
+
+    monkeypatch.setattr(toeplitz, "ThreadPoolExecutor", no_pool)
+    ext = ModifiedToeplitzExtractor(128, 64)
+    x = hex_decode("e3fc097a6dcc77fc781a7ed3533528c8", 128)
+    y = hex_decode("05f47ea39db462da99e3e29b06721ae6", 127)
+    assert ext.extract(x, y).to_hex() == "ab264a34f8ebc27c"
+    std, seed = ToeplitzExtractor(128, 64), BitString.random(191, np.random.default_rng(64))
+    assert std.extract(x, seed) == std.extract(x, seed, method="matrix")
 
 
 def test_two_universality_second_size():
