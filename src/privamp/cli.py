@@ -30,7 +30,7 @@ from .bits import BitString, hex_decode
 from .extractor import SeededExtractor
 from .toeplitz import calculate_length
 from .trevisan import calculate_length_trevisan
-from .validator import Validator
+from .validator import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_TIMEOUT, DEFAULT_WORKERS, Validator
 
 EXIT_OK = 0
 EXIT_LENGTH = 1
@@ -202,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
     p.add_argument("--samples", type=int, help="random mode: number of cases")
     p.add_argument("--rng-seed", type=int, help="make random mode reproducible")
-    p.add_argument("--timeout", type=float, default=30.0, help="per-case timeout (s)")
-    p.add_argument("--workers", type=int, help="concurrent cases (default: $PRIVAMP_WORKERS or 4)")
-    p.add_argument("--exhaustive-cap", type=int, default=24,
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, help="per-case timeout (s)")
+    p.add_argument("--workers", type=int,
+                   help=f"concurrent cases (default: $PRIVAMP_WORKERS or {DEFAULT_WORKERS})")
+    p.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                    help="max input+seed bits for exhaustive mode")
     p.set_defaults(func=cmd_validate)
 

@@ -65,8 +65,8 @@ class NoFailures(PrivampError):
     """Failure analysis requested on a report without failures."""
 
 
-class ParseError(PrivampError):
-    """Test vector file could not be parsed.  Carries a 1-based line number."""
+class _LineError(PrivampError):
+    """An error in a test vector file, its message prefixed by the 1-based line number."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -75,14 +75,12 @@ class ParseError(PrivampError):
         self.line = line
 
 
-class LengthInconsistency(PrivampError):
+class ParseError(_LineError):
+    """Test vector file could not be parsed."""
+
+
+class LengthInconsistency(_LineError):
     """A test vector field does not match the declared bit lengths."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class MissingOutputs(PrivampError):

@@ -23,24 +23,29 @@ def check_source_parameters(
 class SeededExtractor(ABC):
     """A function {0,1}^n x {0,1}^d -> {0,1}^m, pure and immutable.
 
-    Implementations expose ``input_length``, ``seed_length`` and
-    ``output_length`` and the :meth:`extract` method.  ``vector_name``
-    is the identifier used in test vector file headers.
+    The base class owns the three lengths: each constructor passes them
+    once to ``__init__`` and they are read back as the read-only
+    properties ``input_length``, ``output_length`` and ``seed_length``.
+    Implementations provide :meth:`extract`.  ``vector_name`` is the
+    identifier used in test vector file headers.
     """
 
     vector_name: str = ""
 
-    @property
-    @abstractmethod
-    def input_length(self) -> int: ...
+    def __init__(self, input_length: int, output_length: int, seed_length: int):
+        self._lengths = (input_length, output_length, seed_length)
 
     @property
-    @abstractmethod
-    def output_length(self) -> int: ...
+    def input_length(self) -> int:
+        return self._lengths[0]
 
     @property
-    @abstractmethod
-    def seed_length(self) -> int: ...
+    def output_length(self) -> int:
+        return self._lengths[1]
+
+    @property
+    def seed_length(self) -> int:
+        return self._lengths[2]
 
     @abstractmethod
     def extract(self, x: BitString, y: BitString) -> BitString:

@@ -17,12 +17,18 @@ The block has exactly q diagonals: diagonal t = i-j+k-1 (t = 0 at the
 top-right corner) holds d[t] = y[(t-k+1) mod q], i.e. d is the seed
 rotated by k-1.  Output bit i is then coefficient i+k-1 of the linear
 convolution d*x.  The exact path reads this window of m coefficients
-from one big-integer product, the FFT path from one cyclic convolution
-of size next_pow2(q) while m, k <= b = _BLOCK, else by blocks: output
-block a is coefficients [b-1, 2b-1), clear of any wrap-around, of
-irfft(sum_j W_{a+j} X_{K-1-j}, 2b), X_j = rfft(x_j, 2b) over x left-padded
-to K blocks, W_e = rfft(d[e*b : e*b + 2b]): ~4(m+k) transform points
-(3 next_pow2(m+k) unpartitioned) and 16(m+k) + 16k bytes of spectra.
+from one big-integer product.  The FFT path reads it from one cyclic
+convolution of size next_pow2(q) while m and k both fit in b = _BLOCK
+bits (every 128->64 case does), else by blocks: x is left-padded to K
+blocks x_j of b bits, and output block a (of M) is coefficients
+[b-1, 2b-1) of irfft(sum_j W_{a+j} X_{K-1-j}, 2b), with X_j =
+rfft(x_j, 2b) and W_e = rfft(d[e*b : e*b + 2b], 2b), d zero-padded; a
+2b-point cyclic convolution of a 2b- and a b-bit operand wraps onto
+[0, b-1) only.  Schedule: M+2K-1 forward transforms, then M inverse
+ones, one job each on up to one thread per usable CPU (numpy's FFT
+releases the GIL); every block's residual is checked.  Cost: ~4(m+k)
+transform points, 3 next_pow2(m+k) unpartitioned.  Memory: all
+spectra are stored, ~16(m+k) + 16k bytes.
 
 Modified Toeplitz hashes with (T'(y) || I_m): the first n-m input bits
 go through T', the last m bits are XORed in through the identity block.
@@ -49,7 +55,6 @@ _PRECISION_BITS = 120
 
 # Partitioned-FFT block, in bits: of 2^16..2^18 the fastest at n = 2^21, 2^22 on a 2-vCPU Xeon
 _BLOCK = 1 << 17
-_BATCH = 1 << 18  # transform points per numpy FFT call, which bound its float64 scratch
 
 
 def calculate_length(
@@ -131,25 +136,20 @@ def _block_fft(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     mb, kb = -(-m // b), -(-k // b)
     w = np.empty((mb + kb - 1, b + 1), dtype=complex)  # W_e
     xs = np.empty((kb, b + 1), dtype=complex)  # X_j
-    w_runs = np.lib.stride_tricks.sliding_window_view(w, kb, axis=0)  # [a, :, j] = W_{a+j}
-    rows = max(1, _BATCH // (2 * b))
-
-    def forward(job):
-        src, dst, lo = job
-        dst[lo : lo + rows] = np.fft.rfft(src[lo : lo + rows], 2 * b)
-
-    def inverse(lo):  # output blocks a = lo, lo+1, ...: sum_j W_{a+j} X_{K-1-j}
-        acc = np.einsum("afj,jf->af", w_runs[lo : lo + rows], xs[::-1])
-        return _rounded_bits(np.fft.irfft(acc, 2 * b)[:, b - 1 : 2 * b - 1]).ravel()
-
-    d_frames = np.lib.stride_tricks.sliding_window_view(np.pad(d, (0, (mb + kb) * b - q)), 2 * b)
     x_blocks = np.pad(x, (kb * b - k, 0)).reshape(kb, b)
-    sources = ((d_frames[::b], w), (x_blocks, xs))
-    jobs = [(src, dst, lo) for src, dst in sources for lo in range(0, len(dst), rows)]
+
+    def forward(dst, src):  # rfft zero-pads src to 2b
+        dst[:] = np.fft.rfft(src, 2 * b)
+
+    def inverse(a):
+        acc = np.einsum("jf,jf->f", w[a : a + kb], xs[::-1])  # sum_j W_{a+j} X_{K-1-j}
+        return _rounded_bits(np.fft.irfft(acc, 2 * b)[b - 1 : 2 * b - 1])
+
+    frames = [d[e * b : e * b + 2 * b] for e in range(len(w))] + list(x_blocks)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(min(cpus, len(jobs))) as pool:  # numpy's FFT releases the GIL
-        list(pool.map(forward, jobs))
-        return np.concatenate(list(pool.map(inverse, range(0, mb, rows))))[:m]
+    with ThreadPoolExecutor(min(cpus, len(frames))) as pool:  # numpy's FFT releases the GIL
+        list(pool.map(forward, [*w, *xs], frames))
+        return np.concatenate(list(pool.map(inverse, range(mb))))[:m]
 
 
 def _toeplitz_block(y: np.ndarray, x: np.ndarray, method: str) -> np.ndarray:
@@ -182,21 +182,8 @@ class _ToeplitzBlockExtractor(SeededExtractor):
             raise InvalidRange(f"input_length {input_length} admits no output length")
         if not 1 <= output_length <= top:
             raise InvalidRange(f"output_length must be in [1, {top}], got {output_length}")
-        self._n = input_length
-        self._m = output_length
         self._k = self._block_width(input_length, output_length)
-
-    @property
-    def input_length(self) -> int:
-        return self._n
-
-    @property
-    def output_length(self) -> int:
-        return self._m
-
-    @property
-    def seed_length(self) -> int:
-        return self._m + self._k - 1
+        super().__init__(input_length, output_length, output_length + self._k - 1)
 
     @classmethod
     def calculate_length(cls, extractor_type, input_length, relative_source_entropy, error_bound):
@@ -205,9 +192,9 @@ class _ToeplitzBlockExtractor(SeededExtractor):
     def to_matrix(self, y: BitString) -> np.ndarray:
         """Explicit hashing matrix for seed ``y`` (reference path)."""
         _, y = self._check_lengths(None, y)
-        m, k = self._m, self._k
+        m, k = self.output_length, self._k
         idx = (np.arange(m)[:, None] - np.arange(k)[None, :]) % self.seed_length
-        return np.hstack([y.bits[idx], np.eye(m, self._n - k, dtype=np.uint8)])
+        return np.hstack([y.bits[idx], np.eye(m, self.input_length - k, dtype=np.uint8)])
 
     def extract(self, x: BitString, y: BitString, method: str = "auto") -> BitString:
         """Hash ``x`` with the function selected by seed ``y``.
@@ -224,7 +211,7 @@ class _ToeplitzBlockExtractor(SeededExtractor):
             return BitString(gf2_matvec(self.to_matrix(y), x))
         k = self._k
         out = _toeplitz_block(y.bits, x.bits[:k], method)
-        out[: self._n - k] ^= x.bits[k:]
+        out[: self.input_length - k] ^= x.bits[k:]
         return BitString(out)
 
 

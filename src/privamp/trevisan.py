@@ -227,21 +227,9 @@ class PolynomialOneBitExtractor(SeededExtractor):
     def __init__(self, input_length: int, seed_length: int):
         if input_length < 1:
             raise InvalidRange("input_length must be positive")
-        self._n = input_length
         self._l, self._chunks = _one_bit_shape(input_length, seed_length)
         self._field = GF(2**self._l)
-
-    @property
-    def input_length(self) -> int:
-        return self._n
-
-    @property
-    def output_length(self) -> int:
-        return 1
-
-    @property
-    def seed_length(self) -> int:
-        return 2 * self._l
+        super().__init__(input_length, 1, seed_length)
 
     @property
     def field_degree(self) -> int:
@@ -256,7 +244,7 @@ class PolynomialOneBitExtractor(SeededExtractor):
         l, s = self._l, self._chunks
         alpha = y[:l].to_int()
         beta = y[l:].to_int()
-        padded = x.to_int() << (s * l - self._n)
+        padded = x.to_int() << (s * l - self.input_length)
         mask = (1 << l) - 1
         value = 0
         for j in range(s):  # descending degree, leftmost chunk first
@@ -370,6 +358,7 @@ class TrevisanExtractor(SeededExtractor):
             )
         self.design = design
         self.one_bit = one_bit
+        super().__init__(one_bit.input_length, design.m, design.d)
 
     @classmethod
     def create(
@@ -381,18 +370,6 @@ class TrevisanExtractor(SeededExtractor):
         design = FiniteFieldPolynomialDesign(output_length, one_bit_extractor_seed_length)
         one_bit = PolynomialOneBitExtractor(input_length, one_bit_extractor_seed_length)
         return cls(design, one_bit)
-
-    @property
-    def input_length(self) -> int:
-        return self.one_bit.input_length
-
-    @property
-    def output_length(self) -> int:
-        return self.design.m
-
-    @property
-    def seed_length(self) -> int:
-        return self.design.d
 
     def header_params(self) -> dict[str, int]:
         return {"One-bit seed length": self.one_bit.seed_length}

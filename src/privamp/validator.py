@@ -49,6 +49,9 @@ WORKERS_ENV = "PRIVAMP_WORKERS"
 DEFAULT_EXHAUSTIVE_CAP = 24
 DEFAULT_FAILURE_CAP = 10_000
 DEFAULT_TIMEOUT = 30.0
+DEFAULT_WORKERS = 4
+
+_CHUNK = 1024  # cases queued at once: Executor.map submits all it is given up front
 
 
 def _serialize(value: BitString, fmt: str) -> str:
@@ -105,6 +108,8 @@ class ImplementationAdapter:
                 raise AdapterConfigError(f"unknown format {fmt!r} for {ph}")
         if self.input_method == "files" and self.output_path is None and "$OUTPUT$" not in self.command:
             raise AdapterConfigError("files mode needs output_path or an $OUTPUT$ placeholder")
+        if self.input_method == "stdio" and "$OUTPUT$" in self.command:
+            raise AdapterConfigError("$OUTPUT$ is substituted in files mode only")
 
     def run_case(self, x: BitString, y: BitString, output_length: int, timeout: float) -> BitString:
         """Invoke the implementation once; raises AdapterCrashed on any failure."""
@@ -318,7 +323,7 @@ class Validator:
             raise InvalidRange(f"unknown mode {mode!r}")
 
         if workers is None:
-            raw = os.environ.get(WORKERS_ENV, "4")
+            raw = os.environ.get(WORKERS_ENV, str(DEFAULT_WORKERS))
             try:
                 workers = int(raw)
             except ValueError:
@@ -341,14 +346,15 @@ class Validator:
         started = time.perf_counter()
         failures, n_failed, n_crashed, visited = [], 0, 0, 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for index, failure in pool.map(run_one, range(total)):
-                visited += 1
-                if failure is not None:
-                    n_failed += 1
-                    if failure.error is not None:
-                        n_crashed += 1
-                    if len(failures) < self.failure_cap:
-                        failures.append(failure)
+            for lo in range(0, total, _CHUNK):
+                for index, failure in pool.map(run_one, range(lo, min(lo + _CHUNK, total))):
+                    visited += 1
+                    if failure is not None:
+                        n_failed += 1
+                        if failure.error is not None:
+                            n_crashed += 1
+                        if len(failures) < self.failure_cap:
+                            failures.append(failure)
         assert visited == total, f"visited {visited} of {total} cases"
         failures.sort(key=lambda f: f.index)
         return ValidationReport(

@@ -47,12 +47,14 @@ def test_hex_round_trip_golden_seed():
     assert hex_encode(seed) == seed_hex
 
 
-@pytest.mark.parametrize("length", [0, 1, 5, 8, 9, 63, 64, 127, 129])
+@pytest.mark.parametrize("length", range(257))
 def test_hex_round_trip_random(length):
     rng = np.random.default_rng(42 + length)
-    for _ in range(25):
-        b = BitString.random(length, rng)
-        assert hex_decode(hex_encode(b), length) == b
+    cases = [BitString.zeros(length), BitString.ones(length)]
+    for b in cases + [BitString.random(length, rng) for _ in range(25)]:
+        text = hex_encode(b)
+        assert len(text) == 2 * ((length + 7) // 8)
+        assert hex_decode(text, length) == b
 
 
 def test_bitstring_basics():

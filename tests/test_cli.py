@@ -1,4 +1,7 @@
-from privamp.cli import main
+import pytest
+
+from privamp import validator
+from privamp.cli import build_parser, main
 from privamp.trevisan import FiniteFieldPolynomialDesign
 
 from conftest import refwrapper_command
@@ -257,6 +260,18 @@ def test_vectors_gen_to_stdout(capsys):
     assert code == 0
     assert out.startswith("# CAVS")
     assert "OUTPUT" not in out
+
+
+def test_validate_defaults_come_from_the_validator(capsys):
+    argv = ["validate", "--type", "toeplitz", "-n", "3", "-m", "2", "--command", "c"]
+    args = build_parser().parse_args(argv)
+    assert args.exhaustive_cap == validator.DEFAULT_EXHAUSTIVE_CAP
+    assert args.timeout == validator.DEFAULT_TIMEOUT
+    assert args.workers is None  # validate then reads $PRIVAMP_WORKERS or DEFAULT_WORKERS
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["validate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it
+    assert f"$PRIVAMP_WORKERS or {validator.DEFAULT_WORKERS})" in help_text
 
 
 def test_validate_random_needs_samples(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privamp import (
     ModifiedToeplitzExtractor,
@@ -15,6 +17,7 @@ from privamp.exceptions import (
     LengthInconsistency,
     MissingOutputs,
     ParseError,
+    PrivampError,
 )
 from privamp.testvectors import DETERMINISTIC_TIMESTAMP, VectorConfig
 
@@ -131,6 +134,66 @@ def test_random_files_round_trip():
         )
         file = generate_test_vectors(ext, count=int(rng.integers(1, 6)), rng_seed=trial, kind=kind)
         assert parse_vector_file(file.render()) == file
+
+
+@st.composite
+def generated_files(draw):
+    """A generated .req or .rsp file of any of the three extractor families."""
+    n = draw(st.integers(2, 40))
+    family = draw(st.sampled_from(["std", "mod", "trevisan"]))
+    if family == "std":
+        ext = ToeplitzExtractor(n, draw(st.integers(1, n)))
+    elif family == "mod":
+        ext = ModifiedToeplitzExtractor(n, draw(st.integers(1, n - 1)))
+    else:
+        ext = TrevisanExtractor.create(
+            input_length=n, output_length=draw(st.integers(1, 4)), one_bit_extractor_seed_length=2
+        )
+    count = draw(st.integers(1, 5))
+    rng_seed = draw(st.integers(0, 2**32 - 1))
+    return generate_test_vectors(ext, count, rng_seed, kind=draw(st.sampled_from(["req", "rsp"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_files())
+def test_parse_of_render_is_identity(file):
+    assert parse_vector_file(file.render()) == file
+
+
+_MUTATION_CHARS = "0123456789abcdefgABZ #:=[]/-\n\t\x00é"
+
+
+@st.composite
+def mutations(draw, text):
+    """``text`` after one to four character or line edits."""
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["delete", "insert", "replace", "drop line", "repeat line"]))
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(_MUTATION_CHARS))
+        if op == "delete":
+            text = text[:i] + text[i + 1 :]
+        elif op == "insert":
+            text = text[:i] + c + text[i:]
+        elif op == "replace":
+            text = text[:i] + c + text[i + 1 :]
+        else:
+            lines = text.split("\n")
+            j = i % len(lines)
+            lines[j : j + 1] = [] if op == "drop line" else [lines[j], lines[j]]
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_vector_text_raises_only_privamp_errors(golden_rsp_text, data):
+    text = data.draw(mutations(golden_rsp_text))
+    try:
+        file = parse_vector_file(text)
+        if file.extractor_config is not None:
+            verify_response_file(file.extractor_config.extractor, file)
+    except PrivampError:
+        pass
 
 
 # -- parsing edge cases -------------------------------------------------------

@@ -250,7 +250,6 @@ def test_fft_residual_guard(monkeypatch):
 
 def test_fft_residual_guard_multi_block(monkeypatch):
     monkeypatch.setattr(toeplitz, "_BLOCK", 4)
-    monkeypatch.setattr(toeplitz, "_BATCH", 8)  # one 8-point frame per call
     d = np.zeros(29, dtype=np.uint8)  # m = 10, k = 20: 3 output blocks, 5 input blocks
     d[24:] = 1  # diagonals that output blocks 1 and 2 reach, block 0 does not
     x = np.ones(20, dtype=np.uint8)
@@ -265,6 +264,32 @@ def test_fft_residual_guard_multi_block(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
     with pytest.raises(PrecisionLoss):
         _block_fft(d, x)
+
+
+@pytest.mark.parametrize("m, k", [(10, 20), (20, 3), (5, 5), (17, 9)])
+def test_partitioned_schedule_transforms_each_frame_once(monkeypatch, m, k):
+    # blocks of b = 4 bits: M output and K input blocks need the M+K-1
+    # windows W_e and the K blocks X_j forward, and M inverse transforms
+    monkeypatch.setattr(toeplitz, "_BLOCK", 4)
+    frames = {"rfft": [], "irfft": []}  # frames per call; list.append is thread-safe
+
+    def counting(name, real):
+        def transform(a, n=None, *args, **kwargs):
+            assert n == 8  # every frame is 2b points
+            frames[name].append(int(np.prod(np.shape(a)[:-1])))
+            return real(a, n, *args, **kwargs)
+
+        return transform
+
+    for name in frames:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    rng = np.random.default_rng(m * k)
+    d = rng.integers(0, 2, size=m + k - 1, dtype=np.uint8)
+    x = rng.integers(0, 2, size=k, dtype=np.uint8)
+    assert np.array_equal(_block_fft(d, x), _block_exact(d, x))
+    mb, kb = -(-m // 4), -(-k // 4)
+    assert sum(frames["rfft"]) == mb + 2 * kb - 1
+    assert sum(frames["irfft"]) == mb
 
 
 def test_exact_convolution_against_numpy():

@@ -1,5 +1,7 @@
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -63,6 +65,15 @@ def test_adapter_files_mode_needs_output():
             command="./impl $SEED$ $INPUT$",
             serializers={"$SEED$": "hex", "$INPUT$": "hex"},
             input_method="files",
+        )
+
+
+def test_adapter_stdio_mode_rejects_output_placeholder():
+    with pytest.raises(AdapterConfigError, match="files mode"):
+        ImplementationAdapter(
+            label="x",
+            command="./impl $SEED$ $INPUT$ $OUTPUT$",
+            serializers={"$SEED$": "hex", "$INPUT$": "hex"},
         )
 
 
@@ -391,3 +402,41 @@ def test_worker_count_env_default(monkeypatch):
     validator = make_validator(ToeplitzExtractor(2, 1), probe=False)
     report = validator.validate(mode="random", sample_size=4, rng_seed=0)
     assert report.total == 4 and report.passed
+
+
+def test_validate_queues_at_most_one_chunk(monkeypatch):
+    from privamp import validator as validator_module
+
+    chunk = validator_module._CHUNK
+    assert chunk >= 1024
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        """Counts cases submitted and not yet finished, and their peak."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.lock, self.outstanding, self.peak = threading.Lock(), 0, 0
+            pools.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            def counted():
+                try:
+                    return fn(*args, **kwargs)
+                finally:  # before the future resolves, so before map yields it
+                    with self.lock:
+                        self.outstanding -= 1
+
+            with self.lock:
+                self.outstanding += 1
+                self.peak = max(self.peak, self.outstanding)
+            return super().submit(counted)
+
+    ext = ToeplitzExtractor(3, 2)
+    monkeypatch.setattr(validator_module, "ThreadPoolExecutor", CountingPool)
+    # in-process cases: the pool, not process launches, is under test
+    monkeypatch.setattr(ImplementationAdapter, "run_case", lambda self, x, y, m, t: ext.extract(x, y))
+    validator = make_validator(ext, probe=False)
+    report = validator.validate(mode="random", sample_size=3 * chunk + 1, rng_seed=0, workers=2)
+    assert report.total == 3 * chunk + 1 and report.passed
+    assert len(pools) == 1 and 0 < pools[0].peak <= chunk
