@@ -26,16 +26,29 @@ rfft(x_j, 2b) and W_e = rfft(d[e*b : e*b + 2b], 2b), d zero-padded; a
 2b-point cyclic convolution of a 2b- and a b-bit operand wraps onto
 [0, b-1) only.  Schedule: M+2K-1 forward transforms, then M inverse
 ones, one job each on up to one thread per usable CPU (numpy's FFT
-releases the GIL); every block's residual is checked.  Cost: ~4(m+k)
-transform points, 3 next_pow2(m+k) unpartitioned.  Memory: all
-spectra are stored, ~16(m+k) + 16k bytes.
+releases the GIL).  Cost: ~4(m+k) transform points, 3 next_pow2(m+k)
+unpartitioned.  Memory: all spectra are stored, ~16(m+k) + 16k bytes.
 
-Modified Toeplitz hashes with (T'(y) || I_m): the first n-m input bits
-go through T', the last m bits are XORed in through the identity block.
+Exactness (Percival, Math. Comp. 72, 2003, Thm. 5.1): a radix-2 cyclic
+convolution of a and c on 2^n points in binary64 (unit roundoff u =
+2^-53, twiddles within beta of the roots of unity) errs by less than
+|a| |c| ((1+u)^3n (1+sqrt5 u)^(3n+1) (1+beta)^3n - 1) per coefficient,
+|.| the Euclidean norm.  Here n <= 18 (q < 2b unpartitioned), operands
+of at most 2b and b bits give |a| |c| <= sqrt(2) b, a partitioned sum
+of K such terms, taken g = ceil(sqrt(K)) at a time, is < 2 sqrt(K)
+additions deep (1+u each), and beta = 2u (an ulp), so the error is < E(K),
+
+    E(K) = K sqrt(2) b ((1+u)^(54 + 2 sqrt(K)) (1+sqrt5 u)^55 (1+2u)^54 - 1).
+
+E(1) = 5.9e-9; E(K) < 0.25 for K <= 3162273, i.e. k <= 3162273 b ~ 2^38.59,
+so rounding is exact.  The residual check (every coefficient < 0.25 from an
+integer; NaN and inf fail) cross-checks numpy's real, mixed-radix FFT
+against this radix-2 model; "exact" is the independent path, no fallback.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -47,7 +60,7 @@ from .bits import BitString, gf2_matvec
 from .exceptions import InvalidRange, PrecisionLoss
 from .extractor import SeededExtractor, check_source_parameters
 
-_METHODS = ("auto", "fft", "exact", "matrix")
+_METHODS = ("fft", "exact", "matrix")
 
 # 120-bit working precision keeps the floor of k + 2 - 2*log2(1/eps) exact
 # for any realistic argument; 53-bit doubles would not for k beyond ~2^40.
@@ -58,10 +71,7 @@ _BLOCK = 1 << 17
 
 
 def calculate_length(
-    extractor_type: str,
-    input_length: int,
-    relative_source_entropy: float,
-    error_bound: float,
+    extractor_type: str, input_length: int, relative_source_entropy: float, error_bound: float
 ) -> int:
     """Largest secure output length by the leftover hash bound.
 
@@ -101,10 +111,8 @@ def _pack_bits(bits: np.ndarray, slot_bytes: int) -> int:
 def _block_exact(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficients k-1 .. q-1 of the linear convolution d*x, exactly, mod 2.
 
-    q = len(d) >= k = len(x).  Coefficients are packed into wide slots of
-    one big integer each, so the single big-integer product (Karatsuba
-    under the hood) computes them all at once without carries between
-    slots.
+    q = len(d) >= k = len(x).  Packed into slots too wide to carry into
+    each other, the operands give them all in one big-integer product.
     """
     q, k = len(d), len(x)
     slot = (q.bit_length() + 8) // 8
@@ -113,19 +121,20 @@ def _block_exact(d: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _rounded_bits(window: np.ndarray) -> np.ndarray:
-    """Low bits of the integers nearest to ``window``; PrecisionLoss if one is >= 0.25 away."""
+    """Low bits of the integers nearest to ``window``; PrecisionLoss unless all are < 0.25 away."""
     rounded = np.rint(window)
-    if (residual := float(np.abs(window - rounded).max())) >= 0.25:
-        raise PrecisionLoss(f"convolution residual {residual:.3g} >= 0.25")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+        residual = float(np.abs(window - rounded).max())
+    if not residual < 0.25:
+        raise PrecisionLoss(f"convolution residual {residual:.3g} is not < 0.25")
     return rounded.astype(np.int64).astype(np.uint8) & 1
 
 
 def _block_fft(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The window of :func:`_block_exact` via real FFT, verified by a residual check.
+    """The window of :func:`_block_exact` via real FFT, checked by its residual.
 
-    A cyclic convolution of size L >= q folds the linear coefficients L
-    and above onto indices at most q+k-2-L <= k-2, so the window
-    k-1 .. q-1 is free of wrap-around.
+    A cyclic convolution of size L >= q folds coefficients L and above
+    onto indices <= q+k-2-L <= k-2, clear of the window k-1 .. q-1.
     """
     q, k = len(d), len(x)
     m, b = q - k + 1, _BLOCK
@@ -135,35 +144,23 @@ def _block_fft(d: np.ndarray, x: np.ndarray) -> np.ndarray:
         return _rounded_bits(window)
     mb, kb = -(-m // b), -(-k // b)
     w = np.empty((mb + kb - 1, b + 1), dtype=complex)  # W_e
-    xs = np.empty((kb, b + 1), dtype=complex)  # X_j
+    xs = np.empty((kb, b + 1), dtype=complex)  # X_{K-1-j}
     x_blocks = np.pad(x, (kb * b - k, 0)).reshape(kb, b)
+    g = math.isqrt(kb - 1) + 1  # ceil(sqrt(K)) terms per einsum: see the module docstring
 
     def forward(dst, src):  # rfft zero-pads src to 2b
         dst[:] = np.fft.rfft(src, 2 * b)
 
-    def inverse(a):
-        acc = np.einsum("jf,jf->f", w[a : a + kb], xs[::-1])  # sum_j W_{a+j} X_{K-1-j}
+    def inverse(a):  # sum_j W_{a+j} X_{K-1-j}
+        wa = w[a : a + kb]
+        acc = sum(np.einsum("jf,jf->f", wa[j : j + g], xs[j : j + g]) for j in range(0, kb, g))
         return _rounded_bits(np.fft.irfft(acc, 2 * b)[b - 1 : 2 * b - 1])
 
-    frames = [d[e * b : e * b + 2 * b] for e in range(len(w))] + list(x_blocks)
+    frames = [d[e * b : e * b + 2 * b] for e in range(len(w))] + list(x_blocks[::-1])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with ThreadPoolExecutor(min(cpus, len(frames))) as pool:  # numpy's FFT releases the GIL
         list(pool.map(forward, [*w, *xs], frames))
         return np.concatenate(list(pool.map(inverse, range(mb))))[:m]
-
-
-def _toeplitz_block(y: np.ndarray, x: np.ndarray, method: str) -> np.ndarray:
-    """T(y) x for the m x k block T[i, j] = y[(i - j) mod q], q = len(y) = m+k-1."""
-    m = len(y) - len(x) + 1
-    d = np.concatenate((y[m:], y[:m]))  # the seed rotated by k-1
-    if method == "exact":
-        return _block_exact(d, x)
-    try:
-        return _block_fft(d, x)
-    except PrecisionLoss:
-        if method == "fft":
-            raise
-        return _block_exact(d, x)
 
 
 class _ToeplitzBlockExtractor(SeededExtractor):
@@ -187,7 +184,9 @@ class _ToeplitzBlockExtractor(SeededExtractor):
 
     @classmethod
     def calculate_length(cls, extractor_type, input_length, relative_source_entropy, error_bound):
-        return calculate_length(extractor_type, input_length, relative_source_entropy, error_bound)
+        """:func:`calculate_length`, capped at the variant's largest output length."""
+        m = calculate_length(extractor_type, input_length, relative_source_entropy, error_bound)
+        return min(m, cls._max_output_length(input_length))
 
     def to_matrix(self, y: BitString) -> np.ndarray:
         """Explicit hashing matrix for seed ``y`` (reference path)."""
@@ -196,21 +195,22 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         idx = (np.arange(m)[:, None] - np.arange(k)[None, :]) % self.seed_length
         return np.hstack([y.bits[idx], np.eye(m, self.input_length - k, dtype=np.uint8)])
 
-    def extract(self, x: BitString, y: BitString, method: str = "auto") -> BitString:
+    def extract(self, x: BitString, y: BitString, method: str = "fft") -> BitString:
         """Hash ``x`` with the function selected by seed ``y``.
 
-        method: "auto" uses the FFT fast path and falls back to exact
-        integer convolution if the rounding residual check fails; "fft"
-        raises PrecisionLoss instead of falling back; "exact" forces
-        integer convolution; "matrix" multiplies by the explicit matrix.
+        method: "fft" (default) convolves by float FFT, exact by the
+        bound in the module docstring, and raises PrecisionLoss if its
+        residual check fails; "exact" by one big-integer product, the
+        independent path; "matrix" multiplies by the explicit matrix.
         """
         if method not in _METHODS:
             raise InvalidRange(f"unknown method {method!r}")
         x, y = self._check_lengths(x, y)
         if method == "matrix":
             return BitString(gf2_matvec(self.to_matrix(y), x))
-        k = self._k
-        out = _toeplitz_block(y.bits, x.bits[:k], method)
+        m, k = self.output_length, self._k
+        d = np.concatenate((y.bits[m:], y.bits[:m]))  # the q diagonals: the seed rotated by k-1
+        out = (_block_fft if method == "fft" else _block_exact)(d, x.bits[:k])
         out[: self.input_length - k] ^= x.bits[k:]
         return BitString(out)
 

@@ -108,8 +108,8 @@ class ImplementationAdapter:
                 raise AdapterConfigError(f"unknown format {fmt!r} for {ph}")
         if self.input_method == "files" and self.output_path is None and "$OUTPUT$" not in self.command:
             raise AdapterConfigError("files mode needs output_path or an $OUTPUT$ placeholder")
-        if self.input_method == "stdio" and "$OUTPUT$" in self.command:
-            raise AdapterConfigError("$OUTPUT$ is substituted in files mode only")
+        if self.input_method == "stdio" and ("$OUTPUT$" in self.command or self.output_path is not None):
+            raise AdapterConfigError("$OUTPUT$ and output_path are for files mode only")
 
     def run_case(self, x: BitString, y: BitString, output_length: int, timeout: float) -> BitString:
         """Invoke the implementation once; raises AdapterCrashed on any failure."""
@@ -301,9 +301,12 @@ class Validator:
         input_length + seed_length <= exhaustive_cap; random mode draws
         ``sample_size`` pairs from a per-index seeded generator, so a
         report is exactly reproducible given ``rng_seed``.  Crashed
-        cases are recorded, not fatal.
+        cases are recorded, not fatal.  ``timeout`` (seconds per case)
+        must be positive.
         """
         adapter = self._resolve(label)
+        if not timeout > 0:
+            raise InvalidRange(f"timeout must be positive, got {timeout}")
         n, d, m = (
             self.reference.input_length,
             self.reference.seed_length,
@@ -329,7 +332,7 @@ class Validator:
             except ValueError:
                 raise InvalidRange(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
         workers = max(1, workers)
-        if adapter.input_method == "files" and adapter.output_path is not None:
+        if adapter.output_path is not None:
             workers = 1  # a fixed output path cannot be shared between cases
 
         def run_one(index: int):

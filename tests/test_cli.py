@@ -105,6 +105,16 @@ def test_params_trivial_case(capsys):
     assert out.strip() == "10"
 
 
+@pytest.mark.parametrize("kind, expected", [("toeplitz", "128"), ("modified-toeplitz", "127")])
+def test_params_capped_per_variant(capsys, kind, expected):
+    # the bound allows m = n; the modified variant needs m < n
+    code, out, _ = run(
+        capsys, "params", "--type", kind, "-n", "128", "--entropy", "1", "--error", "0.5"
+    )
+    assert code == 0
+    assert out.strip() == expected
+
+
 def test_params_range_error(capsys):
     code, _, err = run(
         capsys,
@@ -158,6 +168,18 @@ def test_validate_mutant_exit_code_and_analysis(capsys):
     )
     assert code == 3
     assert "bit 7" in out and "correlation 1.00" in out
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_validate_non_positive_timeout_exits_2(capsys, timeout):
+    # a correct implementation must never be reported as failing
+    code, out, err = run(
+        capsys,
+        "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
+        "--command", refwrapper_command("toeplitz", 3, 2), "--timeout", timeout,
+    )
+    assert code == 2
+    assert "timeout" in err and "FAIL" not in out
 
 
 def test_validate_unlaunchable_exits_4(capsys):

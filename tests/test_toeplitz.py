@@ -1,3 +1,7 @@
+import math
+import re
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -54,7 +58,12 @@ def test_calculate_length_range_errors(kwargs):
 
 def test_classmethod_delegation():
     assert ToeplitzExtractor.calculate_length("quantum", 10, 1.0, 0.5) == 10
-    assert ModifiedToeplitzExtractor.calculate_length("quantum", 10, 1.0, 0.5) == 10
+    # the modified variant needs m < n: its classmethod caps the bound at n-1
+    assert ModifiedToeplitzExtractor.calculate_length("quantum", 10, 1.0, 0.5) == 9
+    assert ModifiedToeplitzExtractor.calculate_length("quantum", 100, 1.0, 0.25) == 98
+    for cls in (ToeplitzExtractor, ModifiedToeplitzExtractor):
+        m = cls.calculate_length("quantum", 128, 1.0, 0.5)
+        assert cls(128, m).output_length == m
 
 
 # -- standard Toeplitz -------------------------------------------------
@@ -240,12 +249,26 @@ def test_fft_residual_guard(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
     with pytest.raises(PrecisionLoss):
         _block_fft(d, x)
-    # strict fft mode propagates the error; auto mode falls back to exact
+    # there is no fallback: the default method raises too
     ext = ToeplitzExtractor(8, 4)
     xb, yb = BitString.ones(8), BitString.ones(11)
     with pytest.raises(PrecisionLoss):
+        ext.extract(xb, yb)
+    with pytest.raises(PrecisionLoss):
         ext.extract(xb, yb, method="fft")
-    assert ext.extract(xb, yb, method="auto") == ext.extract(xb, yb, method="matrix")
+    assert ext.extract(xb, yb, method="exact") == ext.extract(xb, yb, method="matrix")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", [32, 4])  # one transform; 3 output and 5 input blocks
+def test_fft_residual_guard_rejects_non_finite(monkeypatch, bad, block):
+    # NaN is not >= 0.25 either: the check must reject what is not < 0.25
+    monkeypatch.setattr(toeplitz, "_BLOCK", block)
+    d, x = np.ones(29, dtype=np.uint8), np.ones(20, dtype=np.uint8)  # m = 10, k = 20
+    real_irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: np.full_like(real_irfft(*a, **kw), bad))
+    with pytest.raises(PrecisionLoss):
+        _block_fft(d, x)
 
 
 def test_fft_residual_guard_multi_block(monkeypatch):
@@ -264,6 +287,55 @@ def test_fft_residual_guard_multi_block(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
     with pytest.raises(PrecisionLoss):
         _block_fft(d, x)
+
+
+def test_auto_method_is_rejected():
+    ext = ToeplitzExtractor(4, 2)
+    with pytest.raises(InvalidRange, match="unknown method"):
+        ext.extract(BitString.zeros(4), BitString.zeros(5), method="auto")
+
+
+# -- FFT error bound (module docstring of privamp.toeplitz) ---------------
+
+
+def fft_error_bound(blocks):
+    """E(K) of the module docstring, for K = ``blocks``, in 200-bit arithmetic."""
+    with mpmath.workprec(200):
+        u, sqrt = mpmath.mpf(2) ** -53, mpmath.sqrt
+        growth = (1 + u) ** (54 + 2 * sqrt(blocks)) * (1 + sqrt(5) * u) ** 55 * (1 + 2 * u) ** 54
+        return blocks * sqrt(2) * toeplitz._BLOCK * (growth - 1)
+
+
+def test_fft_error_bound_covers_the_stated_k():
+    blocks = int(re.search(r"E\(K\) < 0\.25 for K <= (\d+)", toeplitz.__doc__).group(1))
+    assert fft_error_bound(blocks) < 0.25 <= fft_error_bound(blocks + 1)
+    assert blocks * toeplitz._BLOCK >= 2**36
+    assert 5.85e-9 < fft_error_bound(1) < 5.95e-9  # "E(1) = 5.9e-9"
+    # g = ceil(sqrt(K)) products per einsum, then ceil(K/g) group sums added in
+    # turn: every product passes fewer than 2 sqrt(K) additions
+    for kb in range(1, 10_000):
+        g = math.isqrt(kb - 1) + 1
+        assert (g - 1) + (-(-kb // g) - 1) < 2 * math.sqrt(kb)
+
+
+@pytest.mark.parametrize("m, k, blocks", [(2**17, 2**17, 1), (2**16, 3 * 2**17, 3)])
+def test_fft_error_within_bound(monkeypatch, m, k, blocks):
+    # the largest single-transform shape (q = 2^18 - 1), and a sum of 3 block
+    # products; below 0.5 the distance to the nearest integer is the error,
+    # which on random bits is 0 or an ulp of the ~2^15-sized coefficients
+    residuals = []
+    real_rounded_bits = toeplitz._rounded_bits
+
+    def spy(window):
+        residuals.append(float(np.abs(window - np.rint(window)).max()))
+        return real_rounded_bits(window)
+
+    monkeypatch.setattr(toeplitz, "_rounded_bits", spy)
+    rng = np.random.default_rng(k)
+    d = rng.integers(0, 2, size=m + k - 1, dtype=np.uint8)
+    _block_fft(d, rng.integers(0, 2, size=k, dtype=np.uint8))
+    assert len(residuals) == 1  # one output block
+    assert max(residuals) <= fft_error_bound(blocks)
 
 
 @pytest.mark.parametrize("m, k", [(10, 20), (20, 3), (5, 5), (17, 9)])
@@ -327,7 +399,7 @@ def edge_shapes(draw):
 def test_block_kernel_edge_shapes(case):
     ext, x1, x2, y = case
     ref1, ref2 = ext.extract(x1, y, method="matrix"), ext.extract(x2, y, method="matrix")
-    for method in ("auto", "fft", "exact", "matrix"):
+    for method in ("fft", "exact", "matrix"):
         assert ext.extract(x1, y, method=method) == ref1
         assert ext.extract(x1 ^ x2, y, method=method) == ref1 ^ ref2
 
@@ -354,7 +426,6 @@ def test_partitioned_fft_matches_matrix_and_exact(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(toeplitz, "_BLOCK", block)
         assert ext.extract(x, y, method="fft") == ref
-        assert ext.extract(x, y, method="auto") == ref
 
 
 def test_partitioned_fft_real_block_size():

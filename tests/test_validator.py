@@ -77,6 +77,17 @@ def test_adapter_stdio_mode_rejects_output_placeholder():
         )
 
 
+def test_adapter_stdio_mode_rejects_output_path():
+    # stdio mode parses stdout; a path it would never read is a configuration error
+    with pytest.raises(AdapterConfigError, match="output_path"):
+        ImplementationAdapter(
+            label="x",
+            command="./impl $SEED$ $INPUT$",
+            serializers={"$SEED$": "hex", "$INPUT$": "hex"},
+            output_path="/nonexistent/out",
+        )
+
+
 # -- registration and probing ----------------------------------------------
 
 
@@ -168,6 +179,13 @@ def test_exhaustive_cap_enforced():
     validator.exhaustive_cap = 5
     with pytest.raises(InvalidRange):
         validator.validate(mode="exhaustive")
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan")])
+def test_validate_rejects_non_positive_timeout(timeout):
+    validator = make_validator(ToeplitzExtractor(3, 2))
+    with pytest.raises(InvalidRange, match="timeout"):
+        validator.validate(timeout=timeout)
 
 
 def test_random_mode_needs_sample_size():
