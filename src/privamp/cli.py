@@ -27,8 +27,7 @@ from .exceptions import (
     ProbeFailed,
 )
 from .bits import BitString, hex_decode
-from .extractor import SeededExtractor
-from .toeplitz import ModifiedToeplitzExtractor, ToeplitzExtractor
+from .extractor import SeededExtractor, extractor_class
 from .trevisan import calculate_length_trevisan
 from .validator import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_TIMEOUT, DEFAULT_WORKERS, Validator
 
@@ -107,7 +106,7 @@ def cmd_params(args) -> int:
         print(f"per-bit error: {params.per_bit_error:.3e}")
         print(f"entropy required: {params.total_entropy_required:.1f} of {params.source_entropy:.1f}")
     else:
-        cls = ToeplitzExtractor if args.type == "toeplitz" else ModifiedToeplitzExtractor
+        cls = extractor_class(args.type)
         print(cls.calculate_length("quantum", args.input_length, args.entropy, args.error))
     return EXIT_OK
 

@@ -75,14 +75,22 @@ class SeededExtractor(ABC):
         ``input_length`` and ``output_length``; Trevisan additionally
         takes ``one_bit_extractor_seed_length``.
         """
-        from .toeplitz import ModifiedToeplitzExtractor, ToeplitzExtractor
-        from .trevisan import TrevisanExtractor
+        cls = extractor_class(extractor_type)
+        # Trevisan builds its design and one-bit extractor in its own create
+        return cls(**kwargs) if cls.create is SeededExtractor.create else cls.create(**kwargs)
 
-        kind = extractor_type.replace("_", "-").lower()
-        if kind == "toeplitz":
-            return ToeplitzExtractor(**kwargs)
-        if kind == "modified-toeplitz":
-            return ModifiedToeplitzExtractor(**kwargs)
-        if kind == "trevisan":
-            return TrevisanExtractor.create(**kwargs)
+
+def extractor_class(extractor_type: str) -> type[SeededExtractor]:
+    """The class of ``extractor_type``, a name as :meth:`SeededExtractor.create` takes it."""
+    from .toeplitz import ModifiedToeplitzExtractor, ToeplitzExtractor
+    from .trevisan import TrevisanExtractor
+
+    classes = {
+        "toeplitz": ToeplitzExtractor,
+        "modified-toeplitz": ModifiedToeplitzExtractor,
+        "trevisan": TrevisanExtractor,
+    }
+    kind = extractor_type.replace("_", "-").lower()
+    if kind not in classes:
         raise InvalidRange(f"unknown extractor type {extractor_type!r}")
+    return classes[kind]

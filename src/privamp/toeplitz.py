@@ -30,25 +30,21 @@ releases the GIL).  Cost: ~4(m+k) transform points, 3 next_pow2(m+k)
 unpartitioned.  Memory: all spectra are stored, ~16(m+k) + 16k bytes.
 
 Exactness (Percival, Math. Comp. 72, 2003, Thm. 5.1): a radix-2 cyclic
-convolution of a and c on 2^n points in binary64 (unit roundoff u =
-2^-53, twiddles within beta of the roots of unity) errs by less than
-|a| |c| ((1+u)^3n (1+sqrt5 u)^(3n+1) (1+beta)^3n - 1) per coefficient,
-|.| the Euclidean norm.  Here n <= 18 (q < 2b unpartitioned), operands
-of at most 2b and b bits give |a| |c| <= sqrt(2) b, a partitioned sum
-of K such terms, taken g = ceil(sqrt(K)) at a time, is < 2 sqrt(K)
-additions deep (1+u each), and beta = 2u (an ulp), so the error is < E(K),
+convolution of a and c on 2^n points in binary64 (u = 2^-53, twiddles
+within beta of the roots of unity) errs by < |a| |c| ((1+u)^3n
+(1+sqrt5 u)^(3n+1) (1+beta)^3n - 1) per coefficient, |.| the 2-norm.
+Here 2^n <= 2b, |a| |c| <= sqrt(2) b (0/1 operands of 2b and b bits),
+beta = 2u, and K block products add up at most K-1 additions deep:
 
-    E(K) = K sqrt(2) b ((1+u)^(54 + 2 sqrt(K)) (1+sqrt5 u)^55 (1+2u)^54 - 1).
+    E(K) = K sqrt(2) b ((1+u)^(53 + K) (1+sqrt5 u)^55 (1+2u)^54 - 1)
 
-E(1) = 5.9e-9; E(K) < 0.25 for K <= 3162273, i.e. k <= 3162273 b ~ 2^38.59,
-so rounding is exact.  The residual check (every coefficient < 0.25 from an
-integer; NaN and inf fail) cross-checks numpy's real, mixed-radix FFT
-against this radix-2 model; "exact" is the independent path, no fallback.
+bounds the error: 5.9e-9 at K = 1, < 0.25 for K <= 110076 (k <= 2^33.7).
+That is for a radix-2 FFT; numpy's is mixed-radix, and the residual check
+(each coefficient < 0.25 from an integer; NaN, inf fail) guards it at run time.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -71,7 +67,10 @@ _BLOCK = 1 << 17
 
 
 def calculate_length(
-    extractor_type: str, input_length: int, relative_source_entropy: float, error_bound: float
+    extractor_type: str,
+    input_length: int,
+    relative_source_entropy: float,
+    error_bound: float,
 ) -> int:
     """Largest secure output length by the leftover hash bound.
 
@@ -111,8 +110,10 @@ def _pack_bits(bits: np.ndarray, slot_bytes: int) -> int:
 def _block_exact(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficients k-1 .. q-1 of the linear convolution d*x, exactly, mod 2.
 
-    q = len(d) >= k = len(x).  Packed into slots too wide to carry into
-    each other, the operands give them all in one big-integer product.
+    q = len(d) >= k = len(x).  Coefficients are packed into wide slots of
+    one big integer each, so the single big-integer product (Karatsuba
+    under the hood) computes them all at once without carries between
+    slots.
     """
     q, k = len(d), len(x)
     slot = (q.bit_length() + 8) // 8
@@ -131,10 +132,11 @@ def _rounded_bits(window: np.ndarray) -> np.ndarray:
 
 
 def _block_fft(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The window of :func:`_block_exact` via real FFT, checked by its residual.
+    """The window of :func:`_block_exact` via real FFT, verified by a residual check.
 
-    A cyclic convolution of size L >= q folds coefficients L and above
-    onto indices <= q+k-2-L <= k-2, clear of the window k-1 .. q-1.
+    A cyclic convolution of size L >= q folds the linear coefficients L
+    and above onto indices at most q+k-2-L <= k-2, so the window
+    k-1 .. q-1 is free of wrap-around.
     """
     q, k = len(d), len(x)
     m, b = q - k + 1, _BLOCK
@@ -144,19 +146,17 @@ def _block_fft(d: np.ndarray, x: np.ndarray) -> np.ndarray:
         return _rounded_bits(window)
     mb, kb = -(-m // b), -(-k // b)
     w = np.empty((mb + kb - 1, b + 1), dtype=complex)  # W_e
-    xs = np.empty((kb, b + 1), dtype=complex)  # X_{K-1-j}
+    xs = np.empty((kb, b + 1), dtype=complex)  # X_j
     x_blocks = np.pad(x, (kb * b - k, 0)).reshape(kb, b)
-    g = math.isqrt(kb - 1) + 1  # ceil(sqrt(K)) terms per einsum: see the module docstring
 
     def forward(dst, src):  # rfft zero-pads src to 2b
         dst[:] = np.fft.rfft(src, 2 * b)
 
-    def inverse(a):  # sum_j W_{a+j} X_{K-1-j}
-        wa = w[a : a + kb]
-        acc = sum(np.einsum("jf,jf->f", wa[j : j + g], xs[j : j + g]) for j in range(0, kb, g))
+    def inverse(a):
+        acc = np.einsum("jf,jf->f", w[a : a + kb], xs[::-1])  # sum_j W_{a+j} X_{K-1-j}
         return _rounded_bits(np.fft.irfft(acc, 2 * b)[b - 1 : 2 * b - 1])
 
-    frames = [d[e * b : e * b + 2 * b] for e in range(len(w))] + list(x_blocks[::-1])
+    frames = [d[e * b : e * b + 2 * b] for e in range(len(w))] + list(x_blocks)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with ThreadPoolExecutor(min(cpus, len(frames))) as pool:  # numpy's FFT releases the GIL
         list(pool.map(forward, [*w, *xs], frames))
@@ -198,10 +198,10 @@ class _ToeplitzBlockExtractor(SeededExtractor):
     def extract(self, x: BitString, y: BitString, method: str = "fft") -> BitString:
         """Hash ``x`` with the function selected by seed ``y``.
 
-        method: "fft" (default) convolves by float FFT, exact by the
-        bound in the module docstring, and raises PrecisionLoss if its
-        residual check fails; "exact" by one big-integer product, the
-        independent path; "matrix" multiplies by the explicit matrix.
+        method: "fft" (default) convolves by float FFT, whose error the
+        module docstring bounds for a radix-2 FFT, and raises PrecisionLoss
+        if its residual check fails; "exact" by one big-integer product,
+        the independent path; "matrix" multiplies by the explicit matrix.
         """
         if method not in _METHODS:
             raise InvalidRange(f"unknown method {method!r}")
