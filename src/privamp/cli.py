@@ -4,8 +4,10 @@ Every subcommand is a thin shell over the library: extraction, output
 length calculation, conformance validation of an external command, and
 test vector generation/verification.
 
-Exit codes: 0 success; 1 length mismatch; 2 argument, range or parse
-errors; 3 validation or verification failures; 4 adapter probe failure.
+Exit codes: 0 success; 1 length mismatch or FFT precision loss; 2
+argument, range, parse or configuration errors; 3 validation or
+verification failures; 4 adapter probe failure.  Each error class in
+:mod:`privamp.exceptions` carries its code as ``exit_code``.
 The PRIVAMP_WORKERS environment variable sets the default number of
 concurrent validation workers.
 """
@@ -16,26 +18,15 @@ import argparse
 import sys
 
 from . import testvectors
-from .exceptions import (
-    InvalidHexDigit,
-    InvalidRange,
-    LengthInconsistency,
-    LengthMismatch,
-    MissingOutputs,
-    ParseError,
-    PrivampError,
-    ProbeFailed,
-)
+from .exceptions import InvalidRange, LengthMismatch, ParseError, PrivampError
 from .bits import BitString, hex_decode
 from .extractor import SeededExtractor, extractor_class
 from .trevisan import calculate_length_trevisan
 from .validator import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_TIMEOUT, DEFAULT_WORKERS, Validator
 
 EXIT_OK = 0
-EXIT_LENGTH = 1
 EXIT_ARGS = 2
 EXIT_FAILURES = 3
-EXIT_PROBE = 4
 
 
 def _add_extractor_args(parser: argparse.ArgumentParser, need_m: bool = True):
@@ -114,18 +105,14 @@ def cmd_params(args) -> int:
 def cmd_validate(args) -> int:
     ext = _build_extractor(args)
     validator = Validator(ext, exhaustive_cap=args.exhaustive_cap)
-    try:
-        validator.add_implementation(
-            label=args.label,
-            command=args.command,
-            input_method=args.input_method,
-            serializers={"$INPUT$": args.input_format, "$SEED$": args.seed_format},
-            output_parser=args.output_format,
-            output_path=args.output_path,
-        )
-    except ProbeFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROBE
+    validator.add_implementation(
+        label=args.label,
+        command=args.command,
+        input_method=args.input_method,
+        serializers={"$INPUT$": args.input_format, "$SEED$": args.seed_format},
+        output_parser=args.output_format,
+        output_path=args.output_path,
+    )
     report = validator.validate(
         mode=args.mode,
         sample_size=args.samples,
@@ -231,12 +218,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, LengthInconsistency, InvalidRange, InvalidHexDigit, MissingOutputs) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
     except PrivampError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LENGTH
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS

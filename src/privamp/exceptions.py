@@ -2,11 +2,19 @@
 
 
 class PrivampError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the CLI's exit status for the error: 2 (argument,
+    range or parse error) unless a subclass says otherwise.
+    """
+
+    exit_code = 2
 
 
 class LengthMismatch(PrivampError):
     """An input, seed or output does not have the required bit length."""
+
+    exit_code = 1
 
 
 class DimensionMismatch(PrivampError):
@@ -36,6 +44,8 @@ class InvalidRange(PrivampError):
 class PrecisionLoss(PrivampError):
     """Floating-point convolution residual exceeded the rounding margin."""
 
+    exit_code = 1
+
 
 class TooManySets(PrivampError):
     """Requested weak design size exceeds the t**t sanity cap."""
@@ -55,6 +65,8 @@ class AdapterConfigError(PrivampError):
 
 class ProbeFailed(PrivampError):
     """The probe invocation of a registered implementation failed."""
+
+    exit_code = 4
 
 
 class AdapterCrashed(PrivampError):

@@ -49,7 +49,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .bits import BitString, gf2_matvec
@@ -85,6 +84,7 @@ def calculate_length(
     if extractor_type not in ("quantum", "classical"):
         raise InvalidRange(f"extractor_type must be quantum or classical, got {extractor_type!r}")
     check_source_parameters(input_length, relative_source_entropy, error_bound)
+    import mpmath  # here, not at module level: it adds ~30 ms to every CLI start-up
 
     with mpmath.workprec(_PRECISION_BITS):
         k = mpmath.mpf(relative_source_entropy) * input_length

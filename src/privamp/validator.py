@@ -52,6 +52,7 @@ DEFAULT_TIMEOUT = 30.0
 DEFAULT_WORKERS = 4
 
 _CHUNK = 1024  # cases queued at once: Executor.map submits all it is given up front
+_MAX_TIMEOUT = 2_147_483  # seconds: Popen.communicate polls with a C int of milliseconds
 
 
 def _serialize(value: BitString, fmt: str) -> str:
@@ -302,11 +303,12 @@ class Validator:
         ``sample_size`` pairs from a per-index seeded generator, so a
         report is exactly reproducible given ``rng_seed``.  Crashed
         cases are recorded, not fatal.  ``timeout`` (seconds per case)
-        must be positive.
+        must lie in (0, 2147483], the longest wait that
+        ``Popen.communicate`` can poll for.
         """
         adapter = self._resolve(label)
-        if not timeout > 0:
-            raise InvalidRange(f"timeout must be positive, got {timeout}")
+        if not 0 < timeout <= _MAX_TIMEOUT:
+            raise InvalidRange(f"timeout must lie in (0, {_MAX_TIMEOUT}] s, got {timeout}")
         n, d, m = (
             self.reference.input_length,
             self.reference.seed_length,

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import privamp
 from privamp import validator
 from privamp.cli import build_parser, main
 from privamp.trevisan import FiniteFieldPolynomialDesign
@@ -182,6 +187,18 @@ def test_validate_non_positive_timeout_exits_2(capsys, timeout):
     assert "timeout" in err and "FAIL" not in out
 
 
+@pytest.mark.parametrize("timeout", ["inf", "1e9"])
+def test_validate_timeout_above_ceiling_exits_2(capsys, timeout):
+    # Popen.communicate cannot wait longer than 2**31-1 ms
+    code, out, err = run(
+        capsys,
+        "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
+        "--command", refwrapper_command("toeplitz", 3, 2), "--timeout", timeout,
+    )
+    assert code == 2
+    assert "timeout" in err and "FAIL" not in out
+
+
 def test_validate_unlaunchable_exits_4(capsys):
     code, _, err = run(
         capsys,
@@ -328,3 +345,32 @@ def test_extract_invalid_hex_exits_2(capsys):
     )
     assert code == 2
     assert "hex" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["params", "--type", "trevisan", "-n", "64", "--entropy", "0.5", "--error", "1e-3",
+      "--one-bit-seed-length", "6"], "prime power"),
+    (["params", "--type", "trevisan", "-n", "64", "--entropy", "0.1", "--error", "1e-3",
+      "--one-bit-seed-length", "4"], "entropy too low"),
+    (["extract", "--type", "trevisan", "-n", "8", "-m", "5", "--one-bit-seed-length", "2",
+      "--input", "00", "--seed", "0"], "sanity cap"),
+    (["validate", "--type", "toeplitz", "-n", "3", "-m", "2",
+      "--command", refwrapper_command("toeplitz", 3, 2) + " $OUTPUT$"], "files mode only"),
+    (["extract", "--type", "modified-toeplitz", "-n", "3", "-m", "2",
+      "--input", "0f", "--seed", "0"], "padding"),
+], ids=["NotPrimePower", "NoFeasibleOutput", "TooManySets", "AdapterConfigError", "NonZeroPadding"])
+def test_argument_errors_exit_2(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(privamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, privamp.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.stdout.strip() == "False", result.stderr

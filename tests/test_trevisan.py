@@ -31,7 +31,7 @@ TWO_E = 2 * math.e
 
 def test_design_m2_t2():
     design = generate_design(2, 2)
-    assert design.sets == [(0, 2), (1, 3)]
+    assert design.sets.tolist() == [[0, 2], [1, 3]]
     # the sets are disjoint: the single pair contributes 2^0 = 1
     assert design.achieved_r == 0.5
 
@@ -39,12 +39,12 @@ def test_design_m2_t2():
 def test_design_m1_is_zero_polynomial():
     for t in (2, 3, 5):
         design = generate_design(1, t)
-        assert design.sets == [tuple(a * t for a in range(t))]
+        assert design.sets.tolist() == [[a * t for a in range(t)]]
 
 
 def test_design_m3_t2_overlap_sum():
     design = generate_design(3, 2)
-    assert design.sets[2] == (0, 3)  # p(a) = a
+    assert design.sets.tolist()[2] == [0, 3]  # p(a) = a
     total = sum(2 ** len(set(design.sets[2]) & set(design.sets[j])) for j in range(2))
     assert total == 4
     assert total <= TWO_E * 3
@@ -127,6 +127,43 @@ def test_weak_design_structural_validation():
         WeakDesign([(0, 1), (2,)], seed_length=4)  # ragged sizes
     with pytest.raises(InvalidRange):
         WeakDesign([], seed_length=4)
+    with pytest.raises(InvalidRange):
+        WeakDesign([(0, 0)], seed_length=4)  # repeated element
+
+
+def test_weak_design_sets_are_a_read_only_sorted_array():
+    design = WeakDesign([(3, 1), (0, 2)], seed_length=4)
+    assert design.sets.dtype == np.int64 and design.sets.shape == (2, 2)
+    assert design.sets.tolist() == [[1, 3], [0, 2]]
+    with pytest.raises(ValueError):
+        design.sets[0, 0] = 2
+
+
+def _overlap_sums_oracle(design):
+    rows = [set(s) for s in design.sets.tolist()]
+    return [sum(2 ** len(si & sj) for sj in rows[:i]) for i, si in enumerate(rows)]
+
+
+def test_overlap_sums_match_set_oracle():
+    designs = [generate_design(m, t) for t in (2, 3, 4, 5, 7, 8) for m in range(1, t * t + 1)]
+    rng = np.random.default_rng(11)
+    for _ in range(30):  # generic designs, unsorted input, with duplicate sets
+        m, t = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        d = t + int(rng.integers(0, 30))
+        sets = [rng.choice(d, size=t, replace=False) for _ in range(m)]
+        sets += [sets[j] for j in rng.integers(0, m, size=3)]
+        designs.append(WeakDesign(sets, seed_length=d))
+    for design in designs:
+        expected = _overlap_sums_oracle(design)
+        assert design._overlap_sums(range(design.m)) == expected
+        picked = rng.permutation(design.m)[:5].tolist()
+        assert design._overlap_sums(picked) == [expected[i] for i in picked]
+
+
+def test_overlap_sums_exact_beyond_int64():
+    report = verify_design(WeakDesign([tuple(range(100))] * 2, 100), r=TWO_E)
+    assert report.worst_sum == 2**100
+    assert report.worst_index == 1 and not report.passed
 
 
 # -- one-bit extractor ---------------------------------------------------

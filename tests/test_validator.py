@@ -188,6 +188,13 @@ def test_validate_rejects_non_positive_timeout(timeout):
         validator.validate(timeout=timeout)
 
 
+def test_validate_accepts_the_timeout_ceiling():
+    # the ceiling itself must not overflow Popen.communicate's millisecond poll
+    validator = make_validator(ToeplitzExtractor(3, 2))
+    report = validator.validate(mode="random", sample_size=1, rng_seed=0, timeout=2_147_483)
+    assert report.passed
+
+
 def test_random_mode_needs_sample_size():
     validator = make_validator(ToeplitzExtractor(3, 2))
     with pytest.raises(InvalidRange):
