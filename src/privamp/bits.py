@@ -43,10 +43,14 @@ class BitString:
             return
         if isinstance(bits, str):
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-        elif isinstance(bits, np.ndarray):
+        elif isinstance(bits, np.ndarray) and bits.dtype.char in "B?":  # uint8 or bool
             arr = bits.astype(np.uint8)
         else:
-            arr = np.array(list(bits), dtype=np.uint8)
+            # any other dtype is checked before the cast, which would truncate or wrap
+            arr = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
+            if not ((arr == 0) | (arr == 1)).all():
+                raise ValueError("bits must contain only 0 and 1")
+            arr = arr.astype(np.uint8)
         if arr.ndim != 1:
             raise DimensionMismatch("bits must be one-dimensional")
         if arr.size and arr.max() > 1:
@@ -76,10 +80,6 @@ class BitString:
             raise ValueError(f"{value} does not fit in {length} bits")
         raw = np.frombuffer(value.to_bytes((length + 7) // 8, "big"), dtype=np.uint8)
         return cls(np.unpackbits(raw)[(-length) % 8 :])
-
-    @classmethod
-    def from_hex(cls, s: str, length: int) -> "BitString":
-        return hex_decode(s, length)
 
     # -- conversions --------------------------------------------------
 

@@ -47,7 +47,12 @@ def _add_extractor_args(parser: argparse.ArgumentParser, need_m: bool = True):
     )
 
 
-def _one_bit_seed_length(args) -> int:
+def _one_bit_seed_length(args) -> int | None:
+    """``--one-bit-seed-length``: required for trevisan; the other types refuse it and get None."""
+    if args.type != "trevisan":
+        if args.one_bit_seed_length is not None:
+            raise InvalidRange(f"--one-bit-seed-length is for trevisan only, not {args.type}")
+        return None
     if args.one_bit_seed_length is None:
         raise InvalidRange("--one-bit-seed-length is required for trevisan")
     return args.one_bit_seed_length
@@ -55,8 +60,9 @@ def _one_bit_seed_length(args) -> int:
 
 def _build_extractor(args) -> SeededExtractor:
     kwargs = dict(input_length=args.input_length, output_length=args.output_length)
-    if args.type == "trevisan":
-        kwargs["one_bit_extractor_seed_length"] = _one_bit_seed_length(args)
+    t = _one_bit_seed_length(args)
+    if t is not None:
+        kwargs["one_bit_extractor_seed_length"] = t
     return SeededExtractor.create(args.type, **kwargs)
 
 
@@ -86,10 +92,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_params(args) -> int:
-    if args.type == "trevisan":
-        m, params = calculate_length_trevisan(
-            args.input_length, args.entropy, args.error, _one_bit_seed_length(args)
-        )
+    t = _one_bit_seed_length(args)
+    if t is not None:
+        m, params = calculate_length_trevisan(args.input_length, args.entropy, args.error, t)
         print(m)
         print(f"seed length: {params.seed_length}")
         print(f"field degree: {params.field_degree}")

@@ -257,9 +257,6 @@ class GaloisField:
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(self, self._check(value))
 
-    def elements(self):
-        return (FieldElement(self, v) for v in range(self.order))
-
     def __eq__(self, other):
         return isinstance(other, GaloisField) and other.order == self.order
 

@@ -13,9 +13,9 @@ evaluation in :mod:`privamp.fields` is ascending.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .fields import GF, _digits
 DEFAULT_OVERLAP_R = 2 * math.e
 
 #: Above this many set elements (m*t) verification samples indices
-#: instead of checking every one (the per-index check stays exact), and
-#: ``WeakDesign.achieved_r`` is None.
+#: instead of checking every one (the per-index check stays exact).
 DEFAULT_VERIFY_CAP = 100_000
 
 
@@ -59,10 +58,8 @@ class WeakDesign:
     is the one structural check: it raises InvalidRange for no sets, an
     empty set, sets of different sizes, a repeated element or an element
     outside [0, d).  The defining bound is sum_{j<i} 2^{|S_i cap S_j|} <= r*m
-    for every i.  ``achieved_r``, the achieved maximum of that sum divided
-    by m, is computed on first access, and is None when m*t exceeds
-    ``DEFAULT_VERIFY_CAP``.  A design that exceeds a target r is not
-    rejected — :func:`verify_design` exists to report exactly that.
+    for every i.  A design that exceeds a target r is not rejected —
+    :func:`verify_design` exists to report exactly that.
     """
 
     def __init__(self, sets, seed_length: int):
@@ -79,12 +76,6 @@ class WeakDesign:
         self.sets = array
         self.m, self.t = array.shape
         self.d = seed_length
-
-    @functools.cached_property
-    def achieved_r(self) -> float | None:
-        if self.m * self.t > DEFAULT_VERIFY_CAP:
-            return None
-        return max(self._overlap_sums(range(self.m))) / self.m
 
     def _overlap_sums(self, indices) -> list[int]:
         """Exact sum_{j<i} 2^{|S_i cap S_j|} for each i in ``indices``, as Python ints.
@@ -151,7 +142,7 @@ class DesignVerification:
     r: float
     achieved_r: float
     worst_index: int
-    worst_sum: float
+    worst_sum: int
     mode: str  # "exhaustive" or "sampled"
     checked_indices: int
 
@@ -160,7 +151,7 @@ class DesignVerification:
         return (
             f"{state}: weak design with m={self.m}, t={self.t}, d={self.d}\n"
             f"  overlap bound r={self.r:.4f}, achieved {self.achieved_r:.4f} "
-            f"(worst index {self.worst_index}, sum {self.worst_sum:.1f} vs r*m "
+            f"(worst index {self.worst_index}, sum {self.worst_sum} vs r*m "
             f"{self.r * self.m:.1f}; {self.mode}, {self.checked_indices} indices)"
         )
 
@@ -189,13 +180,16 @@ def verify_design(
         indices = sorted(rng.choice(design.m, size=count, replace=False).tolist())
         mode = "sampled"
 
-    worst_index, worst_sum = 0, 0.0
+    worst_index, worst_sum = 0, 0
     for i, s in zip(indices, design._overlap_sums(indices)):
         if s > worst_sum:
             worst_index, worst_sum = i, s
-    achieved = worst_sum / design.m
+    try:
+        achieved = worst_sum / design.m
+    except OverflowError:  # a sum can reach 2^t, beyond a float from t = 1024 on
+        achieved = math.inf
     return DesignVerification(
-        passed=achieved <= r,
+        passed=Fraction(worst_sum, design.m) <= r,  # exact against any float r
         m=design.m,
         t=design.t,
         d=design.d,
@@ -219,8 +213,6 @@ class PolynomialOneBitExtractor(SeededExtractor):
     coefficient of the input polynomial p_x.  The output bit is the
     parity of p_x(alpha) AND beta.
     """
-
-    vector_name = "PolynomialOneBitExtractor"
 
     def __init__(self, input_length: int, seed_length: int):
         if input_length < 1:
@@ -294,8 +286,8 @@ def calculate_length_trevisan(
     """
     check_source_parameters(input_length, relative_source_entropy, error_bound)
     t = one_bit_seed_length
+    l, s = _one_bit_shape(input_length, t)  # before GF(t), which trial-divides an odd t
     GF(t)  # raises NotPrimePower when t is invalid
-    l, s = _one_bit_shape(input_length, t)
     k = relative_source_entropy * input_length
     r = DEFAULT_OVERLAP_R
 
@@ -365,9 +357,15 @@ class TrevisanExtractor(SeededExtractor):
         output_length: int,
         one_bit_extractor_seed_length: int,
     ) -> "TrevisanExtractor":
-        design = FiniteFieldPolynomialDesign(output_length, one_bit_extractor_seed_length)
-        one_bit = PolynomialOneBitExtractor(input_length, one_bit_extractor_seed_length)
-        return cls(design, one_bit)
+        t = one_bit_extractor_seed_length
+        # the cheap checks first: GF(t) trial-divides an odd t up to sqrt(t),
+        # and the design and the one-bit field GF(2^(t/2)) take long to build
+        if input_length < 1 or output_length < 1:
+            raise InvalidRange("input_length and output_length must be positive")
+        _one_bit_shape(input_length, t)
+        GF(t)  # raises NotPrimePower when t is invalid
+        design = FiniteFieldPolynomialDesign(output_length, t)
+        return cls(design, PolynomialOneBitExtractor(input_length, t))
 
     def header_params(self) -> dict[str, int]:
         return {"One-bit seed length": self.one_bit.seed_length}

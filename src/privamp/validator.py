@@ -343,16 +343,17 @@ class Validator:
             try:
                 got = adapter.run_case(x, y, m, timeout)
             except AdapterCrashed as exc:
-                return index, FailedCase(index, x, y, expected, None, str(exc))
+                return FailedCase(index, x, y, expected, None, str(exc))
             if got != expected:
-                return index, FailedCase(index, x, y, expected, got)
-            return index, None
+                return FailedCase(index, x, y, expected, got)
+            return None
 
         started = time.perf_counter()
         failures, n_failed, n_crashed, visited = [], 0, 0, 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for lo in range(0, total, _CHUNK):
-                for index, failure in pool.map(run_one, range(lo, min(lo + _CHUNK, total))):
+                # map yields in index order, so the stored failures are the lowest indices
+                for failure in pool.map(run_one, range(lo, min(lo + _CHUNK, total))):
                     visited += 1
                     if failure is not None:
                         n_failed += 1
@@ -361,7 +362,6 @@ class Validator:
                         if len(failures) < self.failure_cap:
                             failures.append(failure)
         assert visited == total, f"visited {visited} of {total} cases"
-        failures.sort(key=lambda f: f.index)
         return ValidationReport(
             label=adapter.label,
             mode=mode,

@@ -73,6 +73,15 @@ def test_bitstring_basics():
         b ^ BitString("10")
     with pytest.raises(ValueError):
         BitString([0, 2])
+    assert BitString(np.array([1.0, 0.0])) == BitString([True, False]) == BitString("10")
+
+
+@pytest.mark.parametrize("bits", [
+    np.array([0.5, 1.7]), np.array([256, 257]), np.array([-0.5, 1.0]), [0.5, 1.7], [256, 1],
+], ids=["float-array", "wide-int-array", "negative-float-array", "float-list", "wide-int-list"])
+def test_bitstring_rejects_values_other_than_0_and_1_before_casting(bits):
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        BitString(bits)
 
 
 @pytest.mark.parametrize("length", [0, 1, 7, 9, 127, 1 << 20])

@@ -150,6 +150,20 @@ def test_params_trevisan_needs_t(capsys):
     assert "--one-bit-seed-length" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["extract", "-m", "32", "--input", "00" * 8, "--seed", "00" * 12],
+    ["params", "--entropy", "0.5", "--error", "1e-3"],
+    ["validate", "-m", "32", "--command", "true $SEED$ $INPUT$"],
+    ["vectors", "gen", "-m", "32"],
+], ids=["extract", "params", "validate", "vectors-gen"])
+def test_one_bit_seed_length_refused_for_toeplitz(capsys, argv):
+    code, out, err = run(
+        capsys, *argv, "--type", "toeplitz", "-n", "64", "--one-bit-seed-length", "6"
+    )
+    assert code == 2 and out == ""
+    assert "--one-bit-seed-length is for trevisan only" in err
+
+
 # -- validate -----------------------------------------------------------------
 
 

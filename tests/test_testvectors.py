@@ -41,7 +41,7 @@ def test_parse_golden_file(golden_rsp_text):
 
 def test_verify_golden_file(golden_rsp_text):
     file = parse_vector_file(golden_rsp_text)
-    ext = file.extractor_config.build_extractor()
+    ext = file.extractor_config.extractor
     assert isinstance(ext, ModifiedToeplitzExtractor)
     verification = verify_response_file(ext, file)
     assert verification.passed
@@ -53,7 +53,7 @@ def test_tampered_golden_file_fails_at_count_3(golden_rsp_text):
         "OUTPUT = 48f041d38296ffcc", "OUTPUT = 48f041d38296ffcd"
     )
     file = parse_vector_file(tampered)
-    ext = file.extractor_config.build_extractor()
+    ext = file.extractor_config.extractor
     verification = verify_response_file(ext, file)
     assert not verification.passed
     assert verification.failed_counts == [3]
@@ -245,6 +245,33 @@ def test_field_before_section_rejected():
         parse_vector_file("COUNT = 0\n")
 
 
+def test_file_without_section_rejected_at_last_line():
+    with pytest.raises(ParseError, match="no \\[section\\]") as err:
+        parse_vector_file("# CAVS\n\n# ToeplitzHashing\n")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("line, output_length", [
+    ("# Compression ratio: 1/2\n", 4), ("# Output Length : 3\n", 3),
+])
+def test_header_gives_output_length(line, output_length):
+    file = parse_vector_file(f"# ToeplitzHashing\n# Input Length : 8\n{line}\n[EXTRACT]\n")
+    assert file.extractor_config.output_length == output_length
+
+
+def test_non_integral_compression_ratio_rejected():
+    with pytest.raises(ParseError, match="not integral"):
+        parse_vector_file(
+            "# ToeplitzHashing\n# Input Length : 8\n# Compression ratio: 1/3\n\n[EXTRACT]\n"
+        )
+
+
+def test_unknown_extractor_name_rejected():
+    config = VectorConfig(name="PolynomialOneBitExtractor", input_length=8, output_length=1)
+    with pytest.raises(ParseError, match="unknown extractor name"):
+        config.extractor
+
+
 def test_missing_config_with_cases_rejected():
     text = "[EXTRACT]\n\nCOUNT = 0\nINPUT = ab\nSEED = 07bc\n"
     with pytest.raises(ParseError):
@@ -270,7 +297,7 @@ def test_trevisan_header_params_round_trip():
     text = generate_test_vectors(ext, count=3, rng_seed=8).render()
     assert "# One-bit seed length : 2" in text
     parsed = parse_vector_file(text)
-    rebuilt = parsed.extractor_config.build_extractor()
+    rebuilt = parsed.extractor_config.extractor
     assert isinstance(rebuilt, TrevisanExtractor)
     assert rebuilt.seed_length == 4
     assert verify_response_file(rebuilt, parsed).passed

@@ -33,7 +33,7 @@ def test_design_m2_t2():
     design = generate_design(2, 2)
     assert design.sets.tolist() == [[0, 2], [1, 3]]
     # the sets are disjoint: the single pair contributes 2^0 = 1
-    assert design.achieved_r == 0.5
+    assert verify_design(design).achieved_r == 0.5
 
 
 def test_design_m1_is_zero_polynomial():
@@ -104,6 +104,11 @@ def test_verify_design_flags_duplicate_sets():
     assert report.worst_index == 1
     assert report.worst_sum == 2**t  # = 16 > 2e * 2
     assert report.achieved_r == 2**t / 2
+    assert report.summary() == (
+        "FAIL: weak design with m=2, t=4, d=16\n"
+        "  overlap bound r=5.4366, achieved 8.0000 (worst index 1, sum 16 vs r*m 10.9; "
+        "exhaustive, 2 indices)"
+    )
 
 
 def test_verify_design_m1_trivially_passes():
@@ -164,6 +169,15 @@ def test_overlap_sums_exact_beyond_int64():
     report = verify_design(WeakDesign([tuple(range(100))] * 2, 100), r=TWO_E)
     assert report.worst_sum == 2**100
     assert report.worst_index == 1 and not report.passed
+
+
+def test_verify_design_decides_a_sum_beyond_float_range():
+    # 2^1100 / 2 overflows a float: the verdict stays exact, the reported ratio is inf
+    report = verify_design(WeakDesign([tuple(range(1100))] * 2, 1100), r=TWO_E)
+    assert report.worst_sum == 2**1100
+    assert report.worst_index == 1 and not report.passed
+    assert report.achieved_r == math.inf
+    assert report.summary().startswith("FAIL")
 
 
 # -- one-bit extractor ---------------------------------------------------
@@ -403,6 +417,22 @@ def test_trevisan_length_respects_design_cap():
     # plentiful entropy but t=2 caps the family at t**t = 4 sets
     m, _ = calculate_length_trevisan(2**12, 1.0, 1e-3, 2)
     assert m == 4
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: calculate_length_trevisan(64, 0.5, 1e-3, 10**18 + 3), InvalidRange),
+    (lambda: TrevisanExtractor.create(64, 1, 10**18 + 3), InvalidRange),
+    (lambda: TrevisanExtractor.create(64, 1, 10**18 + 4), NotPrimePower),
+    (lambda: TrevisanExtractor.create(64, 4, 6), NotPrimePower),
+    (lambda: TrevisanExtractor.create(0, 4000, 256), InvalidRange),
+    (lambda: TrevisanExtractor.create(64, 0, 256), InvalidRange),
+], ids=["length-odd-huge-t", "create-odd-huge-t", "create-even-huge-t", "create-t6", "n0", "m0"])
+def test_trevisan_cheap_checks_run_before_fields_and_design(build, error):
+    # GF(t) trial-divides an odd t up to sqrt(t); the design for m = 4000 takes seconds
+    started = time.perf_counter()
+    with pytest.raises(error):
+        build()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_trevisan_length_parameter_validation():

@@ -260,6 +260,21 @@ def test_crashed_cases_recorded_not_fatal():
     assert not report.passed
 
 
+@pytest.mark.parametrize("command, options, error", [
+    ('sh -c "echo zz" $SEED$ $INPUT$', {"output_parser": "hex"}, "unparseable hex output"),
+    ("true $SEED$ $INPUT$ $OUTPUT$", {"input_method": "files"}, "could not read output file"),
+], ids=["non-hex-output", "missing-output-file"])
+def test_unreadable_output_recorded_as_crash(command, options, error):
+    validator = Validator(ToeplitzExtractor(2, 1))
+    validator.add_implementation(
+        label="x", command=command, serializers={"$INPUT$": "hex", "$SEED$": "hex"},
+        probe=False, **options,
+    )
+    report = validator.validate(mode="random", sample_size=2, rng_seed=0, workers=1)
+    assert report.n_failed == report.n_crashed == 2
+    assert all(error in case.error for case in report.failed)
+
+
 def test_per_case_timeout():
     validator = Validator(ToeplitzExtractor(2, 1))
     validator.add_implementation(
