@@ -173,22 +173,18 @@ def hex_decode(s: str, length: int) -> BitString:
     return BitString(bits[pad:])
 
 
-def as_bit_array(x) -> np.ndarray:
-    """Coerce a BitString / array-like of 0s and 1s to a uint8 array."""
-    if isinstance(x, BitString):
-        return x.bits
-    arr = np.asarray(x, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
-        raise ValueError("vector entries must be 0 or 1")
-    return arr
-
-
 def gf2_matvec(matrix: Gf2Matrix, x) -> Gf2Vector:
     """Matrix-vector product over GF(2): z_i = XOR_j (M_ij AND x_j)."""
-    m = np.asarray(matrix, dtype=np.uint8)
-    v = as_bit_array(x)
-    if m.ndim != 2 or v.ndim != 1:
-        raise DimensionMismatch("need a 2-D matrix and a 1-D vector")
+    m = np.asarray(matrix)
+    v = BitString(x).bits
+    if m.dtype.char in "B?":  # uint8 or bool, as to_matrix returns
+        bad = m.size and m.max() > 1
+    else:  # any other dtype is checked before the cast, which would truncate or wrap
+        bad = not ((m == 0) | (m == 1)).all()
+    if bad:
+        raise ValueError("matrix entries must be 0 or 1")
+    if m.ndim != 2:
+        raise DimensionMismatch(f"need a 2-D matrix, got {m.ndim}-D")
     if m.shape[1] != v.size:
         raise DimensionMismatch(f"matrix has {m.shape[1]} columns, vector has {v.size}")
-    return ((m & v).sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
+    return ((m.astype(np.uint8, copy=False) & v).sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)

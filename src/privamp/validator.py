@@ -24,7 +24,7 @@ import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,7 +77,8 @@ def _parse_output(text: str, fmt: str, length: int) -> BitString:
 class ImplementationAdapter:
     """How to run one external implementation for a single test case.
 
-    ``command`` is a template whose $INPUT$ and $SEED$ placeholders are
+    ``command`` is a template, split into arguments once as a POSIX shell
+    would (no shell runs), whose $INPUT$ and $SEED$ placeholders are
     replaced by the serialized values (stdio mode) or by paths to files
     holding them (files mode).  In files mode the output is read from
     ``output_path``, or from a temporary file substituted for an
@@ -90,8 +91,17 @@ class ImplementationAdapter:
     output_parser: str = "binary-string"
     input_method: str = "stdio"
     output_path: str | None = None
+    _tokens: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # split once, so a malformed template fails here and not in every case
+        try:
+            tokens = tuple(shlex.split(self.command))
+        except ValueError as exc:
+            raise AdapterConfigError(f"cannot split command {self.command!r}: {exc}") from None
+        if not tokens:
+            raise AdapterConfigError("command is empty")
+        object.__setattr__(self, "_tokens", tokens)
         if self.input_method not in ("stdio", "files"):
             raise AdapterConfigError(f"unknown input_method {self.input_method!r}")
         if self.output_parser not in FORMATS:
@@ -143,7 +153,7 @@ class ImplementationAdapter:
 
     def _argv(self, substitutions: dict) -> list:
         argv = []
-        for token in shlex.split(self.command):
+        for token in self._tokens:
             for ph, val in substitutions.items():
                 token = token.replace(ph, val)
             argv.append(token)

@@ -1,7 +1,6 @@
 import pathlib
 import shutil
 import subprocess
-import sys
 
 import pytest
 
@@ -32,21 +31,14 @@ def thirdparty_bin(tmp_path_factory) -> pathlib.Path:
         pytest.fail("no C compiler available to build the validation target")
     out = tmp_path_factory.mktemp("thirdparty") / "thirdparty"
     src = HELPERS_DIR / "thirdparty.c"
-    subprocess.run([cc, "-O2", "-o", str(out), str(src)], check=True)
+    # warnings fail the build, so a slip in the stand-in cannot pass unseen
+    subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Werror", "-o", str(out), str(src)], check=True)
     return out
 
 
-def refwrapper_command(extractor_type: str, n: int, m: int, mutation: str = "none") -> str:
-    """Command template invoking the bundled Python stdio wrapper."""
-    import privamp.refwrapper
-
-    script = privamp.refwrapper.__file__
-    cmd = f"{sys.executable} -S {script} --type {extractor_type} -n {n} -m {m}"
-    if mutation != "none":
-        cmd += f" --mutation {mutation}"
-    return cmd + " $SEED$ $INPUT$"
-
-
-def thirdparty_command(binary, extractor_type: str, n: int, m: int, mutation: str = "none") -> str:
-    """Command template invoking the compiled C validation target."""
-    return f"{binary} {extractor_type} {n} {m} {mutation} $SEED$ $INPUT$"
+def thirdparty_command(
+    binary, extractor_type: str, n: int, m: int, mutation: str = "none", fmt: str = "binary-string"
+) -> str:
+    """Command template invoking the compiled C validation target in format ``fmt``."""
+    flag = "--hex " if fmt == "hex" else ""
+    return f"{binary} {flag}{extractor_type} {n} {m} {mutation} $SEED$ $INPUT$"

@@ -116,6 +116,7 @@ def test_gf2_matvec_trivial():
     assert np.array_equal(gf2_matvec(eye, x), x.bits)
     ones = np.ones((2, 3), dtype=np.uint8)
     assert gf2_matvec(ones, BitString("111")).tolist() == [1, 1]
+    assert gf2_matvec(ones.astype(bool), [1, 0, 1]).tolist() == [0, 0]
 
 
 def test_gf2_matvec_against_bit_loop_oracle():
@@ -146,6 +147,20 @@ def test_gf2_matvec_linear_over_xor():
 def test_gf2_matvec_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         gf2_matvec(np.eye(3, dtype=np.uint8), BitString("10"))
+
+
+@pytest.mark.parametrize("matrix, vector, message", [
+    ([[1, 1], [0, 1]], [0.5, 1.7], "only 0 and 1"),
+    ([[1, 1], [0, 1]], [256, 1], "only 0 and 1"),
+    ([[2, 1], [0, 1]], [1, 1], "matrix entries"),
+    ([[257, 1], [0, 1]], [1, 1], "matrix entries"),
+    ([[1.5, 1], [0, 1]], [1, 1], "matrix entries"),
+    (np.array([[2, 1], [0, 1]], dtype=np.uint8), [1, 1], "matrix entries"),
+], ids=["float-vector", "wide-vector", "matrix-2", "matrix-257", "float-matrix", "uint8-matrix-2"])
+def test_gf2_matvec_rejects_values_other_than_0_and_1_before_casting(matrix, vector, message):
+    # a cast first would truncate 0.5 to 0, overflow on 256 and read 2 or 257 mod 2
+    with pytest.raises(ValueError, match=message):
+        gf2_matvec(matrix, vector)
 
 
 def test_hex_decode_accepts_uppercase():

@@ -9,7 +9,7 @@ from privamp import validator
 from privamp.cli import build_parser, main
 from privamp.trevisan import FiniteFieldPolynomialDesign
 
-from conftest import refwrapper_command
+from conftest import thirdparty_command
 
 GOLDEN_INPUT = "e3fc097a6dcc77fc781a7ed3533528c8"
 GOLDEN_SEED = "05f47ea39db462da99e3e29b06721ae6"
@@ -167,22 +167,22 @@ def test_one_bit_seed_length_refused_for_toeplitz(capsys, argv):
 # -- validate -----------------------------------------------------------------
 
 
-def test_validate_self_exhaustive(capsys):
+def test_validate_self_exhaustive(thirdparty_bin, capsys):
     code, out, _ = run(
         capsys,
         "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
-        "--command", refwrapper_command("toeplitz", 3, 2),
+        "--command", thirdparty_command(thirdparty_bin, "toeplitz", 3, 2),
         "--mode", "exhaustive",
     )
     assert code == 0
     assert "128/128" in out
 
 
-def test_validate_mutant_exit_code_and_analysis(capsys):
+def test_validate_mutant_exit_code_and_analysis(thirdparty_bin, capsys):
     code, out, _ = run(
         capsys,
         "validate", "--type", "modified-toeplitz", "-n", "8", "-m", "4",
-        "--command", refwrapper_command("modified-toeplitz", 8, 4, "drop-last-input-bit"),
+        "--command", thirdparty_command(thirdparty_bin, "modified-toeplitz", 8, 4, "drop-last-input-bit"),
         "--mode", "random", "--samples", "150", "--rng-seed", "5",
     )
     assert code == 3
@@ -190,24 +190,24 @@ def test_validate_mutant_exit_code_and_analysis(capsys):
 
 
 @pytest.mark.parametrize("timeout", ["0", "-1"])
-def test_validate_non_positive_timeout_exits_2(capsys, timeout):
+def test_validate_non_positive_timeout_exits_2(thirdparty_bin, capsys, timeout):
     # a correct implementation must never be reported as failing
     code, out, err = run(
         capsys,
         "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
-        "--command", refwrapper_command("toeplitz", 3, 2), "--timeout", timeout,
+        "--command", thirdparty_command(thirdparty_bin, "toeplitz", 3, 2), "--timeout", timeout,
     )
     assert code == 2
     assert "timeout" in err and "FAIL" not in out
 
 
 @pytest.mark.parametrize("timeout", ["inf", "1e9"])
-def test_validate_timeout_above_ceiling_exits_2(capsys, timeout):
+def test_validate_timeout_above_ceiling_exits_2(thirdparty_bin, capsys, timeout):
     # Popen.communicate cannot wait longer than 2**31-1 ms
     code, out, err = run(
         capsys,
         "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
-        "--command", refwrapper_command("toeplitz", 3, 2), "--timeout", timeout,
+        "--command", thirdparty_command(thirdparty_bin, "toeplitz", 3, 2), "--timeout", timeout,
     )
     assert code == 2
     assert "timeout" in err and "FAIL" not in out
@@ -223,12 +223,12 @@ def test_validate_unlaunchable_exits_4(capsys):
     assert "probe" in err
 
 
-def test_validate_bad_worker_env_exits_2(capsys, monkeypatch):
+def test_validate_bad_worker_env_exits_2(thirdparty_bin, capsys, monkeypatch):
     monkeypatch.setenv("PRIVAMP_WORKERS", "four")
     code, _, err = run(
         capsys,
         "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
-        "--command", refwrapper_command("toeplitz", 3, 2),
+        "--command", thirdparty_command(thirdparty_bin, "toeplitz", 3, 2),
     )
     assert code == 2
     assert "PRIVAMP_WORKERS" in err and "'four'" in err
@@ -327,11 +327,11 @@ def test_validate_defaults_come_from_the_validator(capsys):
     assert f"$PRIVAMP_WORKERS or {validator.DEFAULT_WORKERS})" in help_text
 
 
-def test_validate_random_needs_samples(capsys):
+def test_validate_random_needs_samples(thirdparty_bin, capsys):
     code, _, err = run(
         capsys,
         "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
-        "--command", refwrapper_command("toeplitz", 3, 2),
+        "--command", thirdparty_command(thirdparty_bin, "toeplitz", 3, 2),
         "--mode", "random",
     )
     assert code == 2
@@ -369,10 +369,14 @@ def test_extract_invalid_hex_exits_2(capsys):
     (["extract", "--type", "trevisan", "-n", "8", "-m", "5", "--one-bit-seed-length", "2",
       "--input", "00", "--seed", "0"], "sanity cap"),
     (["validate", "--type", "toeplitz", "-n", "3", "-m", "2",
-      "--command", refwrapper_command("toeplitz", 3, 2) + " $OUTPUT$"], "files mode only"),
+      "--command", thirdparty_command("thirdparty", "toeplitz", 3, 2) + " $OUTPUT$"], "files mode only"),
+    (["validate", "--type", "toeplitz", "-n", "3", "-m", "2",
+      "--command", "python3 'oops $SEED$ $INPUT$"], "No closing quotation"),
+    (["validate", "--type", "toeplitz", "-n", "3", "-m", "2", "--command", ""], "command is empty"),
     (["extract", "--type", "modified-toeplitz", "-n", "3", "-m", "2",
       "--input", "0f", "--seed", "0"], "padding"),
-], ids=["NotPrimePower", "NoFeasibleOutput", "TooManySets", "AdapterConfigError", "NonZeroPadding"])
+], ids=["NotPrimePower", "NoFeasibleOutput", "TooManySets", "AdapterConfigError",
+        "AdapterConfigError-unbalanced-quote", "AdapterConfigError-empty-command", "NonZeroPadding"])
 def test_argument_errors_exit_2(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2

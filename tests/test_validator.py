@@ -21,7 +21,7 @@ from privamp.exceptions import (
     ProbeFailed,
 )
 
-from conftest import refwrapper_command
+from conftest import thirdparty_command
 
 
 # -- adapter configuration ------------------------------------------------
@@ -77,6 +77,28 @@ def test_adapter_stdio_mode_rejects_output_placeholder():
         )
 
 
+@pytest.mark.parametrize("command, message", [
+    ("python3 'oops $SEED$ $INPUT$", "No closing quotation"),
+    ("", "command is empty"),
+    ("  \t ", "command is empty"),
+], ids=["unbalanced-quote", "empty", "blank"])
+def test_adapter_rejects_a_command_that_does_not_split(command, message):
+    with pytest.raises(AdapterConfigError, match=message):
+        ImplementationAdapter(
+            label="x", command=command, serializers={"$SEED$": "hex", "$INPUT$": "hex"}
+        )
+
+
+def test_adapter_substitutes_into_each_token():
+    # the template is split once; a placeholder inside a quoted token still substitutes
+    adapter = ImplementationAdapter(
+        label="x",
+        command='sh -c "echo $INPUT$$SEED$"',
+        serializers={"$SEED$": "binary-string", "$INPUT$": "binary-string"},
+    )
+    assert adapter.run_case(BitString("01"), BitString("1"), 3, timeout=5.0) == BitString("011")
+
+
 def test_adapter_stdio_mode_rejects_output_path():
     # stdio mode parses stdout; a path it would never read is a configuration error
     with pytest.raises(AdapterConfigError, match="output_path"):
@@ -91,15 +113,12 @@ def test_adapter_stdio_mode_rejects_output_path():
 # -- registration and probing ----------------------------------------------
 
 
-def make_validator(ext, mutation="none", fmt="binary-string", probe=True):
+def make_validator(binary, ext, mutation="none", fmt="binary-string", probe=True):
     validator = Validator(ext)
     kind = "toeplitz" if isinstance(ext, ToeplitzExtractor) else "modified-toeplitz"
-    command = refwrapper_command(kind, ext.input_length, ext.output_length, mutation)
-    if fmt == "hex":
-        command = command.replace("$SEED$", "--format hex $SEED$")
     validator.add_implementation(
-        label=f"refwrapper-{mutation}",
-        command=command,
+        label=f"thirdparty-{mutation}",
+        command=thirdparty_command(binary, kind, ext.input_length, ext.output_length, mutation, fmt),
         serializers={"$INPUT$": fmt, "$SEED$": fmt},
         output_parser=fmt,
         probe=probe,
@@ -107,8 +126,8 @@ def make_validator(ext, mutation="none", fmt="binary-string", probe=True):
     return validator
 
 
-def test_probe_accepts_reference_wrapper():
-    make_validator(ToeplitzExtractor(3, 2))  # would raise ProbeFailed
+def test_probe_accepts_reference_wrapper(thirdparty_bin):
+    make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))  # would raise ProbeFailed
 
 
 def test_probe_rejects_unlaunchable_command():
@@ -133,8 +152,8 @@ def test_probe_rejects_unparseable_output():
         )
 
 
-def test_duplicate_label_rejected():
-    validator = make_validator(ToeplitzExtractor(3, 2))
+def test_duplicate_label_rejected(thirdparty_bin):
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
     adapter = next(iter(validator.implementations.values()))
     with pytest.raises(DuplicateLabel):
         validator.add_implementation(adapter)
@@ -143,69 +162,87 @@ def test_duplicate_label_rejected():
 # -- validation -------------------------------------------------------------
 
 
-def test_exhaustive_self_validation_passes():
-    validator = make_validator(ToeplitzExtractor(3, 2))
+def test_exhaustive_self_validation_passes(thirdparty_bin):
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
     report = validator.validate(mode="exhaustive")
     assert report.total == 2**3 * 2**4
     assert report.passed and report.n_failed == 0 and report.n_crashed == 0
 
 
 def test_compiled_stand_in_agrees_with_library(thirdparty_bin):
-    # the C target used by the heavy acceptance runs must track the library
-    from conftest import thirdparty_command
+    # the shapes of test_every_stand_in_mutant_is_caught, exhaustive there, miss
+    # hex padding of 1 to 3 bits; the published shape and 13->5 have it
+    for ext in (ModifiedToeplitzExtractor(128, 64), ToeplitzExtractor(13, 5)):
+        for fmt in ("binary-string", "hex"):
+            validator = make_validator(thirdparty_bin, ext, fmt=fmt)
+            assert validator.validate(mode="random", sample_size=50, rng_seed=3).passed
 
-    for kind, ext in (
-        ("toeplitz", ToeplitzExtractor(3, 2)),
-        ("modified-toeplitz", ModifiedToeplitzExtractor(4, 2)),
-    ):
-        validator = Validator(ext)
+
+@pytest.mark.parametrize("mutation", ["none", "drop-last-input-bit", "reverse-seed", "flip-entry:0,0"])
+@pytest.mark.parametrize("fmt", ["binary-string", "hex"])
+@pytest.mark.parametrize("ext", [ToeplitzExtractor(3, 2), ModifiedToeplitzExtractor(4, 2)],
+                         ids=["toeplitz-3-2", "modified-toeplitz-4-2"])
+def test_every_stand_in_mutant_is_caught(thirdparty_bin, ext, fmt, mutation):
+    report = make_validator(thirdparty_bin, ext, mutation, fmt).validate(mode="exhaustive")
+    assert report.n_crashed == 0
+    assert report.passed == (mutation == "none")
+
+
+@pytest.mark.parametrize("args", [
+    "toeplitz 3 2 flip-entry:9,9", "toeplitz 3 2 flip-entry:2,0", "toeplitz 3 2 flip-entry:0,3",
+    "toeplitz 3 2 flip-entry:-1,0", "toeplitz 3 2 flip-entry:0,0x", "toeplitz 3 2 mirror",
+    "toeplitz 3x 2 none", "toeplitz 3 +2 none", "toeplitz 3 4 none", "modified-toeplitz 3 3 none",
+])
+def test_stand_in_rejects_bad_arguments(thirdparty_bin, args):
+    # a flip outside the 3->2 matrix would otherwise run as "none" and pass
+    validator = Validator(ToeplitzExtractor(3, 2))
+    with pytest.raises(ProbeFailed, match="exit code 2"):
         validator.add_implementation(
-            label="c-stand-in",
-            command=thirdparty_command(thirdparty_bin, kind, ext.input_length, ext.output_length),
+            label="bad",
+            command=f"{thirdparty_bin} {args} $SEED$ $INPUT$",
             serializers={"$INPUT$": "binary-string", "$SEED$": "binary-string"},
         )
-        assert validator.validate(mode="exhaustive").passed
 
 
-def test_exhaustive_hex_adapter_round_trip():
-    validator = make_validator(ModifiedToeplitzExtractor(3, 2), fmt="hex")
+def test_exhaustive_hex_adapter_round_trip(thirdparty_bin):
+    validator = make_validator(thirdparty_bin, ModifiedToeplitzExtractor(3, 2), fmt="hex")
     report = validator.validate(mode="exhaustive", workers=8)
     assert report.total == 2**3 * 2**2
     assert report.passed
 
 
-def test_exhaustive_cap_enforced():
-    validator = make_validator(ToeplitzExtractor(3, 2))
+def test_exhaustive_cap_enforced(thirdparty_bin):
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
     validator.exhaustive_cap = 5
     with pytest.raises(InvalidRange):
         validator.validate(mode="exhaustive")
 
 
 @pytest.mark.parametrize("timeout", [0, -1, float("nan")])
-def test_validate_rejects_non_positive_timeout(timeout):
-    validator = make_validator(ToeplitzExtractor(3, 2))
+def test_validate_rejects_non_positive_timeout(thirdparty_bin, timeout):
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
     with pytest.raises(InvalidRange, match="timeout"):
         validator.validate(timeout=timeout)
 
 
-def test_validate_accepts_the_timeout_ceiling():
+def test_validate_accepts_the_timeout_ceiling(thirdparty_bin):
     # the ceiling itself must not overflow Popen.communicate's millisecond poll
-    validator = make_validator(ToeplitzExtractor(3, 2))
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
     report = validator.validate(mode="random", sample_size=1, rng_seed=0, timeout=2_147_483)
     assert report.passed
 
 
-def test_random_mode_needs_sample_size():
-    validator = make_validator(ToeplitzExtractor(3, 2))
+def test_random_mode_needs_sample_size(thirdparty_bin):
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
     with pytest.raises(InvalidRange):
         validator.validate(mode="random")
     with pytest.raises(InvalidRange):
         validator.validate(mode="bogus")
 
 
-def test_drop_last_bit_mutant_detected_and_analyzed():
+def test_drop_last_bit_mutant_detected_and_analyzed(thirdparty_bin):
     ext = ModifiedToeplitzExtractor(8, 4)
-    validator = make_validator(ext, mutation="drop-last-input-bit")
+    validator = make_validator(thirdparty_bin, ext, mutation="drop-last-input-bit")
     report = validator.validate(mode="random", sample_size=300, rng_seed=99)
     assert 0.35 <= report.failure_fraction <= 0.65
     assert all(case.input[-1] == 1 for case in report.failed)
@@ -215,10 +252,10 @@ def test_drop_last_bit_mutant_detected_and_analyzed():
     assert "bit 7" in diagnosis.summary
 
 
-def test_seed_reversal_mutant_matches_convention_oracle():
+def test_seed_reversal_mutant_matches_convention_oracle(thirdparty_bin):
     # count mismatching (x, y) pairs by brute force over both conventions
     ext = ToeplitzExtractor(3, 2)
-    validator = make_validator(ext, mutation="reverse-seed")
+    validator = make_validator(thirdparty_bin, ext, mutation="reverse-seed")
     report = validator.validate(mode="exhaustive")
     expected_failures = 0
     for xv in range(1 << 3):
@@ -232,9 +269,9 @@ def test_seed_reversal_mutant_matches_convention_oracle():
     assert expected_failures > 0
 
 
-def test_random_mode_reproducible():
+def test_random_mode_reproducible(thirdparty_bin):
     ext = ModifiedToeplitzExtractor(8, 4)
-    validator = make_validator(ext, mutation="drop-last-input-bit")
+    validator = make_validator(thirdparty_bin, ext, mutation="drop-last-input-bit")
     r1 = validator.validate(mode="random", sample_size=60, rng_seed=7, workers=4)
     r2 = validator.validate(mode="random", sample_size=60, rng_seed=7, workers=2)
     assert [c.index for c in r1.failed] == [c.index for c in r2.failed]
@@ -322,14 +359,11 @@ def test_clean_exit_kills_background_jobs(tmp_path):
     assert not marker.exists()
 
 
-def test_files_mode_round_trip(tmp_path):
+def test_files_mode_round_trip(thirdparty_bin, tmp_path):
     script = tmp_path / "files_wrapper.sh"
-    import privamp.refwrapper
-
     script.write_text(
         "#!/bin/sh\n"
-        f'exec {sys.executable} -S {privamp.refwrapper.__file__} '
-        '--type modified-toeplitz -n 3 -m 1 "$(cat "$1")" "$(cat "$2")" > "$3"\n'
+        f'exec {thirdparty_bin} modified-toeplitz 3 1 none "$(cat "$1")" "$(cat "$2")" > "$3"\n'
     )
     script.chmod(0o755)
     ext = ModifiedToeplitzExtractor(3, 1)
@@ -348,17 +382,17 @@ def test_files_mode_round_trip(tmp_path):
 # -- failure analysis ---------------------------------------------------------
 
 
-def test_analyze_requires_failures():
-    validator = make_validator(ToeplitzExtractor(3, 2))
+def test_analyze_requires_failures(thirdparty_bin):
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
     report = validator.validate(mode="exhaustive")
     with pytest.raises(NoFailures):
         validator.analyze_failed_test(report)
 
 
-def test_stuck_output_bit_concentrates_histogram():
+def test_stuck_output_bit_concentrates_histogram(thirdparty_bin):
     # mutant: output bit 2 perturbed by xor with input bit 0 (flip-entry 2,0)
     ext = ToeplitzExtractor(3, 3)
-    validator = make_validator(ext, mutation="flip-entry:2,0")
+    validator = make_validator(thirdparty_bin, ext, mutation="flip-entry:2,0")
     report = validator.validate(mode="exhaustive")
     diagnosis = validator.analyze_failed_test(report)
     hist = diagnosis.differing_bit_positions
@@ -385,24 +419,21 @@ def test_all_zero_failures_do_not_flag_bits():
     assert np.allclose(diagnosis.input_bit_correlations, 0.0)
 
 
-def test_failure_cap_limits_stored_cases():
+def test_failure_cap_limits_stored_cases(thirdparty_bin):
     ext = ToeplitzExtractor(3, 2)
-    validator = make_validator(ext, mutation="reverse-seed")
+    validator = make_validator(thirdparty_bin, ext, mutation="reverse-seed")
     validator.failure_cap = 5
     report = validator.validate(mode="exhaustive")
     assert len(report.failed) == 5
     assert report.n_failed > 5  # full count still reported
 
 
-def test_files_mode_with_fixed_output_path(tmp_path):
+def test_files_mode_with_fixed_output_path(thirdparty_bin, tmp_path):
     script = tmp_path / "files_wrapper_fixed.sh"
     out_path = tmp_path / "result.txt"
-    import privamp.refwrapper
-
     script.write_text(
         "#!/bin/sh\n"
-        f'exec {sys.executable} -S {privamp.refwrapper.__file__} '
-        f'--type modified-toeplitz -n 3 -m 1 "$(cat "$1")" "$(cat "$2")" > {out_path}\n'
+        f'exec {thirdparty_bin} modified-toeplitz 3 1 none "$(cat "$1")" "$(cat "$2")" > {out_path}\n'
     )
     script.chmod(0o755)
     validator = Validator(ModifiedToeplitzExtractor(3, 1))
@@ -417,10 +448,10 @@ def test_files_mode_with_fixed_output_path(tmp_path):
     assert report.total == 32 and report.passed
 
 
-def test_label_resolution_with_multiple_implementations():
+def test_label_resolution_with_multiple_implementations(thirdparty_bin):
     validator = Validator(ToeplitzExtractor(3, 2))
     for label, mutation in (("good", "none"), ("bad", "reverse-seed")):
-        command = refwrapper_command("toeplitz", 3, 2, mutation)
+        command = thirdparty_command(thirdparty_bin, "toeplitz", 3, 2, mutation)
         validator.add_implementation(
             label=label,
             command=command,
@@ -435,16 +466,16 @@ def test_label_resolution_with_multiple_implementations():
     assert report.passed and report.label == "good"
 
 
-def test_worker_count_env_default(monkeypatch):
+def test_worker_count_env_default(thirdparty_bin, monkeypatch):
     from privamp.validator import WORKERS_ENV
 
     monkeypatch.setenv(WORKERS_ENV, "2")
-    validator = make_validator(ToeplitzExtractor(2, 1), probe=False)
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(2, 1), probe=False)
     report = validator.validate(mode="random", sample_size=4, rng_seed=0)
     assert report.total == 4 and report.passed
 
 
-def test_validate_queues_at_most_one_chunk(monkeypatch):
+def test_validate_queues_at_most_one_chunk(thirdparty_bin, monkeypatch):
     from privamp import validator as validator_module
 
     chunk = validator_module._CHUNK
@@ -476,7 +507,7 @@ def test_validate_queues_at_most_one_chunk(monkeypatch):
     monkeypatch.setattr(validator_module, "ThreadPoolExecutor", CountingPool)
     # in-process cases: the pool, not process launches, is under test
     monkeypatch.setattr(ImplementationAdapter, "run_case", lambda self, x, y, m, t: ext.extract(x, y))
-    validator = make_validator(ext, probe=False)
+    validator = make_validator(thirdparty_bin, ext, probe=False)
     report = validator.validate(mode="random", sample_size=3 * chunk + 1, rng_seed=0, workers=2)
     assert report.total == 3 * chunk + 1 and report.passed
     assert len(pools) == 1 and 0 < pools[0].peak <= chunk
