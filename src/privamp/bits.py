@@ -62,6 +62,13 @@ class BitString:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _wrap(cls, bits: np.ndarray) -> "BitString":
+        """A BitString over ``bits``, a read-only 1-D uint8 array of 0/1 checked by the caller."""
+        self = object.__new__(cls)
+        self._bits = bits
+        return self
+
+    @classmethod
     def zeros(cls, length: int) -> "BitString":
         return cls(np.zeros(length, dtype=np.uint8))
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from .bits import BitString
-from .exceptions import InvalidRange, LengthMismatch
+from .exceptions import DimensionMismatch, InvalidRange, LengthMismatch
 
 
 def check_source_parameters(
@@ -26,8 +28,9 @@ class SeededExtractor(ABC):
     The base class owns the three lengths: each constructor passes them
     once to ``__init__`` and they are read back as the read-only
     properties ``input_length``, ``output_length`` and ``seed_length``.
-    Implementations provide :meth:`extract`.  ``vector_name`` is the
-    identifier used in test vector file headers.
+    Implementations provide :meth:`extract`; :meth:`extract_many` hashes
+    many cases in one call.  ``vector_name`` is the identifier used in
+    test vector file headers.
     """
 
     vector_name: str = ""
@@ -51,6 +54,21 @@ class SeededExtractor(ABC):
     def extract(self, x: BitString, y: BitString) -> BitString:
         """Apply the extractor to input ``x`` and uniform seed ``y``."""
 
+    def extract_many(self, xs, ys) -> np.ndarray:
+        """Hash row i of ``xs`` with row i of ``ys``, for every row.
+
+        ``xs`` and ``ys`` are (c, n) and (c, d) arrays of 0/1; the result
+        is a read-only (c, m) uint8 array whose row i equals
+        ``extract(xs[i], ys[i]).bits``.  This default calls :meth:`extract`
+        once per row.
+        """
+        xs, ys = self._check_rows(xs, ys)
+        out = np.empty((len(xs), self.output_length), dtype=np.uint8)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            out[i] = self.extract(x, y).bits
+        out.setflags(write=False)
+        return out
+
     def _check_lengths(self, x, y) -> tuple[BitString | None, BitString]:
         """``x`` and ``y`` as BitStrings of the input and seed lengths; ``x`` may be None."""
         if x is not None:
@@ -61,6 +79,23 @@ class SeededExtractor(ABC):
         if len(y) != self.seed_length:
             raise LengthMismatch(f"seed must be {self.seed_length} bits, got {len(y)}")
         return x, y
+
+    def _check_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """``xs`` and ``ys`` as read-only (c, n) and (c, d) uint8 arrays of 0/1.
+
+        A row is checked as :meth:`_check_lengths` checks one ``x`` or ``y``.
+        """
+        checked = []
+        for rows, width, what in ((xs, self.input_length, "input"), (ys, self.seed_length, "seed")):
+            rows = np.asarray(rows)
+            if rows.ndim != 2:
+                raise DimensionMismatch(f"{what}s must be a 2-D array of rows, got {rows.ndim}-D")
+            if rows.shape[1] != width:
+                raise LengthMismatch(f"{what} must be {width} bits, got {rows.shape[1]}")
+            checked.append(BitString(rows.reshape(-1)).bits.reshape(rows.shape))
+        if len(checked[0]) != len(checked[1]):
+            raise DimensionMismatch(f"{len(checked[0])} inputs but {len(checked[1])} seeds")
+        return checked[0], checked[1]
 
     def header_params(self) -> dict[str, int]:
         """Extractor-specific parameters carried in test vector headers."""

@@ -23,6 +23,10 @@ Extractor-specific parameters (e.g. the Trevisan one-bit seed length)
 travel as additional "# Key : value" header comments.  The parser is
 tolerant of arbitrary comment lines and blank-line spacing, and strict
 on field names, '=' separators and hex validity.
+
+Generation, rendering, parsing and verification work column-wise on
+chunks of 512 cases: one random draw, one hex encode or decode per
+field and one ``extract_many`` per chunk.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ SECTION = "EXTRACT"
 
 #: Timestamp line used when generation is deterministic (fixed rng seed).
 DETERMINISTIC_TIMESTAMP = "Thu Jan  1 00:00:00 1970"
+
+#: Cases drawn, encoded, decoded and hashed together: 1024 would hold the
+#: spectra of twice as many cases at once, and raise peak RSS by ~1 MiB
+_CHUNK = 512
 
 _FIELD_RE = re.compile(r"^(\w+)\s*=\s*(\S*)\s*$")
 _HEADER_KV_RE = re.compile(r"^#\s*([^:]+?)\s*:\s*(.+?)\s*$")
@@ -127,13 +135,50 @@ class TestVectorFile:
     def render(self) -> str:
         lines = [f"# {h}" if h else "#" for h in self.header]
         lines += ["", f"[{self.section}]"]
-        for case in self.cases:
-            lines += ["", f"COUNT = {case.count}"]
-            lines.append(f"INPUT = {case.input.to_hex()}")
-            lines.append(f"SEED = {case.seed.to_hex()}")
-            if case.output is not None:
-                lines.append(f"OUTPUT = {case.output.to_hex()}")
+        for lo in range(0, len(self.cases), _CHUNK):
+            chunk = self.cases[lo : lo + _CHUNK]
+            inputs = _hex_column([c.input for c in chunk])
+            seeds = _hex_column([c.seed for c in chunk])
+            outputs = iter(_hex_column([c.output for c in chunk if c.output is not None]))
+            for case, x, y in zip(chunk, inputs, seeds):
+                lines += ["", f"COUNT = {case.count}", f"INPUT = {x}", f"SEED = {y}"]
+                if case.output is not None:
+                    lines.append(f"OUTPUT = {next(outputs)}")
         return "\n".join(lines) + "\n"
+
+
+def _rows(values: list, width: int) -> np.ndarray | None:
+    """The bits of the BitStrings ``values`` as one (c, width) array; None unless all are ``width`` bits."""
+    if any(len(v) != width for v in values):
+        return None
+    return np.stack([v.bits for v in values]) if values else np.empty((0, width), dtype=np.uint8)
+
+
+def _hex_column(values: list) -> list[str]:
+    """``v.to_hex()`` for each BitString ``v`` of ``values``, by one packbits if all have one length."""
+    rows = _rows(values, len(values[0])) if values else None
+    if rows is None:
+        return [v.to_hex() for v in values]
+    packed = np.packbits(np.pad(rows, ((0, 0), ((-rows.shape[1]) % 8, 0))), axis=1)
+    text, width = packed.tobytes().hex(), 2 * packed.shape[1]
+    return [text[i * width : (i + 1) * width] for i in range(len(values))]
+
+
+def _unhex_column(values: list, length: int) -> np.ndarray | None:
+    """:func:`hex_decode` of each string of ``values`` as one read-only (c, length) array; None if any fails."""
+    chars = (length + 7) // 8 * 2
+    if any(len(v) != chars for v in values):
+        return None
+    try:  # no value holds whitespace (the field pattern is \S*), which fromhex would skip
+        raw = np.frombuffer(bytes.fromhex("".join(values)), dtype=np.uint8)
+    except ValueError:
+        return None
+    bits = np.unpackbits(raw.reshape(len(values), chars // 2), axis=1)
+    pad = bits.shape[1] - length
+    if bits[:, :pad].any():
+        return None
+    bits.setflags(write=False)
+    return bits[:, pad:]
 
 
 def generate_test_vectors(
@@ -154,13 +199,23 @@ def generate_test_vectors(
     if kind not in ("req", "rsp"):
         raise InvalidRange(f"kind must be req or rsp, got {kind!r}")
     config = config_for(ext)
+    n, d = ext.input_length, ext.seed_length
+    # BitString.random draws its bytes from whole 32-bit words, dropping the
+    # rest of the last one: one draw of both widths rounded up to 4 per case
+    # gives the bits of the per-case calls
+    wn, wd = -(-n // 4) * 4, -(-d // 4) * 4
     rng = np.random.default_rng(rng_seed)
     cases = []
-    for i in range(count):
-        x = BitString.random(ext.input_length, rng)
-        y = BitString.random(ext.seed_length, rng)
-        out = ext.extract(x, y) if kind == "rsp" else None
-        cases.append(Case(i, x, y, out))
+    for lo in range(0, count, _CHUNK):
+        c = min(_CHUNK, count - lo)
+        draw = rng.integers(0, 2, size=(c, wn + wd), dtype=np.uint8)
+        draw.setflags(write=False)
+        xs, ys = draw[:, :n], draw[:, wn : wn + d]
+        outs = map(BitString._wrap, ext.extract_many(xs, ys)) if kind == "rsp" else [None] * c
+        cases += [
+            Case(lo + i, BitString._wrap(x), BitString._wrap(y), out)
+            for i, (x, y, out) in enumerate(zip(xs, ys, outs))
+        ]
     ratio = Fraction(ext.output_length, ext.input_length)
     stamp = DETERMINISTIC_TIMESTAMP if rng_seed is not None else time.asctime()
     header = [
@@ -219,6 +274,50 @@ def _decode_field(value: str, length: int, line_no: int, name: str) -> BitString
         raise ParseError(f"{name}: {exc}", line=line_no) from None
 
 
+def _decode_columns(chunk: list, lo: int, config: VectorConfig) -> list | None:
+    """The cases of ``chunk`` (COUNT ``lo`` on) by one decode per field; None if any is bad."""
+    for count, raw in enumerate(chunk, start=lo):
+        if raw["COUNT"][0] != count or "INPUT" not in raw or "SEED" not in raw:
+            return None
+    xs = _unhex_column([raw["INPUT"][0] for raw in chunk], config.input_length)
+    if xs is None:
+        return None
+    # read only once the inputs have matched the declared length
+    ys = _unhex_column([raw["SEED"][0] for raw in chunk], config.seed_length)
+    outs = [raw["OUTPUT"][0] for raw in chunk if "OUTPUT" in raw]
+    outs = _unhex_column(outs, config.output_length)
+    if ys is None or outs is None:
+        return None
+    outs = iter(outs)
+    return [
+        Case(count, BitString._wrap(x), BitString._wrap(y),
+             BitString._wrap(next(outs)) if "OUTPUT" in raw else None)
+        for count, (raw, x, y) in enumerate(zip(chunk, xs, ys), start=lo)
+    ]
+
+
+def _decode_cases(chunk: list, lo: int, config: VectorConfig) -> list:
+    """The cases of ``chunk`` field by field, in file order: raises for the first bad field."""
+    cases = []
+    for expected_count, raw in enumerate(chunk, start=lo):
+        count, count_line = raw["COUNT"]
+        if count != expected_count:
+            raise ParseError(
+                f"COUNT {count} out of order (expected {expected_count})", line=count_line
+            )
+        for required in ("INPUT", "SEED"):
+            if required not in raw:
+                raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
+        x = _decode_field(raw["INPUT"][0], config.input_length, raw["INPUT"][1], "INPUT")
+        # read only once an INPUT has matched the declared length
+        y = _decode_field(raw["SEED"][0], config.seed_length, raw["SEED"][1], "SEED")
+        out = None
+        if "OUTPUT" in raw:
+            out = _decode_field(raw["OUTPUT"][0], config.output_length, raw["OUTPUT"][1], "OUTPUT")
+        cases.append(Case(count, x, y, out))
+    return cases
+
+
 def parse_vector_file(text: str, extractor_config: VectorConfig | None = None) -> TestVectorFile:
     """Parse .req/.rsp text into a TestVectorFile.
 
@@ -274,25 +373,10 @@ def parse_vector_file(text: str, extractor_config: VectorConfig | None = None) -
         raise ParseError("extractor configuration not found in header")
 
     cases = []
-    for expected_count, raw in enumerate(raw_cases):
-        count, count_line = raw["COUNT"]
-        if count != expected_count:
-            raise ParseError(
-                f"COUNT {count} out of order (expected {expected_count})", line=count_line
-            )
-        for required in ("INPUT", "SEED"):
-            if required not in raw:
-                raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
-        x = _decode_field(raw["INPUT"][0], config.input_length, raw["INPUT"][1], "INPUT")
-        if expected_count == 0:
-            # once per file, and only after an INPUT has matched the declared length
-            seed_length = config.seed_length
-        y = _decode_field(raw["SEED"][0], seed_length, raw["SEED"][1], "SEED")
-        out = None
-        if "OUTPUT" in raw:
-            out = _decode_field(raw["OUTPUT"][0], config.output_length, raw["OUTPUT"][1], "OUTPUT")
-        cases.append(Case(count, x, y, out))
-
+    for lo in range(0, len(raw_cases), _CHUNK):
+        chunk = raw_cases[lo : lo + _CHUNK]
+        decoded = _decode_columns(chunk, lo, config)
+        cases += _decode_cases(chunk, lo, config) if decoded is None else decoded
     return TestVectorFile(header=header, section=section, cases=cases, extractor_config=config)
 
 
@@ -321,7 +405,15 @@ def verify_response_file(ext: SeededExtractor, file: TestVectorFile) -> VectorVe
     if missing:
         raise MissingOutputs(f"COUNT(s) {missing} have no OUTPUT (request file?)")
     verification = VectorVerification(total=len(file.cases))
-    for case in file.cases:
-        if ext.extract(case.input, case.seed) != case.output:
-            verification.failed_counts.append(case.count)
+    widths = (ext.input_length, ext.seed_length, ext.output_length)
+    for lo in range(0, len(file.cases), _CHUNK):
+        chunk = file.cases[lo : lo + _CHUNK]
+        xs, ys, outs = (
+            _rows([getattr(c, f) for c in chunk], w) for f, w in zip(("input", "seed", "output"), widths)
+        )
+        if xs is None or ys is None or outs is None:  # a hand-built file: as extract checks one case
+            wrong = [ext.extract(c.input, c.seed) != c.output for c in chunk]
+        else:
+            wrong = (ext.extract_many(xs, ys) != outs).any(axis=1)
+        verification.failed_counts += [c.count for c, bad in zip(chunk, wrong) if bad]
     return verification

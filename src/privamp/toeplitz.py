@@ -41,6 +41,16 @@ beta = 2u, and K block products add up at most K-1 additions deep:
 bounds the error: 5.9e-9 at K = 1, < 0.25 for K <= 110076 (k <= 2^33.7).
 That is for a radix-2 FFT; numpy's is mixed-radix, and the residual check
 (each coefficient < 0.25 from an integer; NaN, inf fail) guards it at run time.
+
+Many cases: ``extract`` also takes a leading batch axis, (c, n) inputs
+and (c, q) seeds giving a (c, m) array.  While m and k fit in a block,
+the c rows share one transform along the last axis; otherwise, and for
+"exact" and "matrix", the rows are hashed one at a time.
+``extract_many`` hands ``extract`` blocks of max(1, 2^18 //
+next_pow2(q)) rows (2048 at modified 128->64, 1024 at standard
+128->64), so a call transforms at most 2^18 points per operand; a shape
+whose transform alone has 2^18 points, every partitioned one among
+them, goes one 1-D row at a time.
 """
 
 from __future__ import annotations
@@ -63,6 +73,9 @@ _PRECISION_BITS = 120
 
 # Partitioned-FFT block, in bits: of 2^16..2^18 the fastest at n = 2^21, 2^22 on a 2-vCPU Xeon
 _BLOCK = 1 << 17
+
+# Transform points per operand in one extract call of extract_many
+_BATCH_POINTS = 1 << 18
 
 
 def calculate_length(
@@ -136,14 +149,17 @@ def _block_fft(d: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     A cyclic convolution of size L >= q folds the linear coefficients L
     and above onto indices at most q+k-2-L <= k-2, so the window
-    k-1 .. q-1 is free of wrap-around.
+    k-1 .. q-1 is free of wrap-around.  While m and k fit in a block,
+    ``d`` and ``x`` may carry a leading batch axis, (c, q) and (c, k):
+    one transform along the last axis then serves every row.
     """
-    q, k = len(d), len(x)
+    q, k = d.shape[-1], x.shape[-1]
     m, b = q - k + 1, _BLOCK
     if max(m, k) <= b:
         size = 1 << max(0, q - 1).bit_length()
-        window = np.fft.irfft(np.fft.rfft(d, size) * np.fft.rfft(x, size), size)[k - 1 : q]
-        return _rounded_bits(window)
+        spectrum = np.fft.rfft(d, size)
+        spectrum *= np.fft.rfft(x, size)  # in place: a batch's spectra are its largest arrays
+        return _rounded_bits(np.fft.irfft(spectrum, size)[..., k - 1 : q])
     mb, kb = -(-m // b), -(-k // b)
     w = np.empty((mb + kb - 1, b + 1), dtype=complex)  # W_e
     xs = np.empty((kb, b + 1), dtype=complex)  # X_j
@@ -195,24 +211,57 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         idx = (np.arange(m)[:, None] - np.arange(k)[None, :]) % self.seed_length
         return np.hstack([y.bits[idx], np.eye(m, self.input_length - k, dtype=np.uint8)])
 
-    def extract(self, x: BitString, y: BitString, method: str = "fft") -> BitString:
+    def extract(self, x, y, method: str = "fft"):
         """Hash ``x`` with the function selected by seed ``y``.
 
         method: "fft" (default) convolves by float FFT, whose error the
         module docstring bounds for a radix-2 FFT, and raises PrecisionLoss
         if its residual check fails; "exact" by one big-integer product,
         the independent path; "matrix" multiplies by the explicit matrix.
+
+        ``x`` and ``y`` may carry a leading batch axis: (c, n) and (c, d)
+        arrays of 0/1 give a read-only (c, m) uint8 array whose row i
+        hashes x[i] with y[i] (module docstring: "Many cases").
         """
         if method not in _METHODS:
             raise InvalidRange(f"unknown method {method!r}")
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            xs, ys = self._check_rows(x, y)
+            if method == "fft" and max(self.output_length, self._k) <= _BLOCK:
+                out = self._hash(xs, ys, method)  # one transform for every row
+            else:
+                out = np.empty((len(xs), self.output_length), dtype=np.uint8)
+                for i, (x, y) in enumerate(zip(xs, ys)):
+                    out[i] = self._hash(x, y, method)
+            out.setflags(write=False)
+            return out
         x, y = self._check_lengths(x, y)
+        return BitString(self._hash(x.bits, y.bits, method))
+
+    def _hash(self, x: np.ndarray, y: np.ndarray, method: str) -> np.ndarray:
+        """The hash of checked bits ``x`` with ``y``, along the last axis."""
         if method == "matrix":
-            return BitString(gf2_matvec(self.to_matrix(y), x))
+            return gf2_matvec(self.to_matrix(y), x)
         m, k = self.output_length, self._k
-        d = np.concatenate((y.bits[m:], y.bits[:m]))  # the q diagonals: the seed rotated by k-1
-        out = (_block_fft if method == "fft" else _block_exact)(d, x.bits[:k])
-        out[: self.input_length - k] ^= x.bits[k:]
-        return BitString(out)
+        d = np.concatenate((y[..., m:], y[..., :m]), axis=-1)  # the q diagonals: the seed rotated by k-1
+        out = (_block_fft if method == "fft" else _block_exact)(d, x[..., :k])
+        out[..., : self.input_length - k] ^= x[..., k:]
+        return out
+
+    def extract_many(self, xs, ys) -> np.ndarray:
+        """:meth:`SeededExtractor.extract_many` by one ``extract`` call per block of rows.
+
+        Blocks hold max(1, 2^18 // next_pow2(q)) rows (module docstring).
+        """
+        rows = max(1, _BATCH_POINTS >> max(0, self.seed_length - 1).bit_length())
+        if rows == 1:
+            return super().extract_many(xs, ys)
+        xs, ys = self._check_rows(xs, ys)
+        out = np.empty((len(xs), self.output_length), dtype=np.uint8)
+        for lo in range(0, len(xs), rows):
+            out[lo : lo + rows] = self.extract(xs[lo : lo + rows], ys[lo : lo + rows])
+        out.setflags(write=False)
+        return out
 
 
 class ToeplitzExtractor(_ToeplitzBlockExtractor):

@@ -59,8 +59,11 @@ def _serialize(value: BitString, fmt: str) -> str:
     return value.to_hex() if fmt == "hex" else value.to01()
 
 
-def _parse_output(text: str, fmt: str, length: int) -> BitString:
-    text = text.strip()
+def _parse_output(raw: bytes, fmt: str, length: int) -> BitString:
+    try:
+        text = raw.decode().strip()
+    except UnicodeDecodeError as exc:
+        raise AdapterCrashed(f"output is not UTF-8: {raw[:40]!r}") from exc
     if fmt == "hex":
         try:
             return hex_decode(text, length)
@@ -146,7 +149,7 @@ class ImplementationAdapter:
                 subst["$OUTPUT$"] = out_path
             self._run(self._argv(subst), timeout)
             try:
-                with open(out_path) as fh:
+                with open(out_path, "rb") as fh:
                     return _parse_output(fh.read(), self.output_parser, output_length)
             except OSError as exc:
                 raise AdapterCrashed(f"could not read output file: {exc}") from exc
@@ -159,13 +162,12 @@ class ImplementationAdapter:
             argv.append(token)
         return argv
 
-    def _run(self, argv: list, timeout: float) -> str:
+    def _run(self, argv: list, timeout: float) -> bytes:
         # a session of its own makes the case one process group, so killing
         # the group also ends whatever the command started (a shell's children, say)
         try:
             proc = subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                start_new_session=True,
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
             )
         except OSError as exc:
             raise AdapterCrashed(f"could not launch {argv[0]!r}: {exc}") from exc
@@ -180,7 +182,8 @@ class ImplementationAdapter:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
         if proc.returncode != 0:
-            raise AdapterCrashed(f"exit code {proc.returncode}: {stderr.strip()[:200]}")
+            message = stderr.decode(errors="replace").strip()[:200]
+            raise AdapterCrashed(f"exit code {proc.returncode}: {message}")
         return stdout
 
 
@@ -347,23 +350,27 @@ class Validator:
         if adapter.output_path is not None:
             workers = 1  # a fixed output path cannot be shared between cases
 
-        def run_one(index: int):
-            x, y = self._case(mode, index, rng_seed)
-            expected = self.reference.extract(x, y)
+        def run_one(case):
+            index, x, y, expected = case
             try:
                 got = adapter.run_case(x, y, m, timeout)
             except AdapterCrashed as exc:
-                return FailedCase(index, x, y, expected, None, str(exc))
-            if got != expected:
-                return FailedCase(index, x, y, expected, got)
+                return FailedCase(index, x, y, BitString(expected), None, str(exc))
+            if not np.array_equal(got.bits, expected):
+                return FailedCase(index, x, y, BitString(expected), got)
             return None
 
         started = time.perf_counter()
         failures, n_failed, n_crashed, visited = [], 0, 0, 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for lo in range(0, total, _CHUNK):
+                indices = range(lo, min(lo + _CHUNK, total))
+                xs, ys = zip(*(self._case(mode, i, rng_seed) for i in indices))
+                expected = self.reference.extract_many(
+                    np.stack([x.bits for x in xs]), np.stack([y.bits for y in ys])
+                )
                 # map yields in index order, so the stored failures are the lowest indices
-                for failure in pool.map(run_one, range(lo, min(lo + _CHUNK, total))):
+                for failure in pool.map(run_one, zip(indices, xs, ys, expected)):
                     visited += 1
                     if failure is not None:
                         n_failed += 1

@@ -213,6 +213,29 @@ def test_validate_timeout_above_ceiling_exits_2(thirdparty_bin, capsys, timeout)
     assert "timeout" in err and "FAIL" not in out
 
 
+def test_validate_non_utf8_stderr_passes(thirdparty_bin, capsys):
+    inner = thirdparty_command(thirdparty_bin, "toeplitz", 2, 1)
+    code, out, err = run(
+        capsys,
+        "validate", "--type", "toeplitz", "-n", "2", "-m", "1",
+        "--command", f"""sh -c 'printf "\\377" >&2; exec "$0" "$@"' {inner}""",
+        "--mode", "random", "--samples", "2", "--rng-seed", "0",
+    )
+    assert code == 0 and out.startswith("PASS") and not err
+
+
+def test_validate_non_utf8_stdout_is_a_crashed_case(capsys):
+    # the all-zero probe gets the right answer, every other input one byte that is not UTF-8
+    code, out, err = run(
+        capsys,
+        "validate", "--type", "toeplitz", "-n", "2", "-m", "1",
+        "--command", r"""sh -c 'if [ "$2" = 00 ]; then echo 0; else printf "\377"; fi' sh $SEED$ $INPUT$""",
+        "--mode", "random", "--samples", "8", "--rng-seed", "0",
+    )
+    assert code == 3 and "case(s) crashed" in out
+    assert "Traceback" not in err
+
+
 def test_validate_unlaunchable_exits_4(capsys):
     code, _, err = run(
         capsys,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privamp import (
+    BitString,
     ModifiedToeplitzExtractor,
     SeededExtractor,
     ToeplitzExtractor,
@@ -363,3 +364,238 @@ def test_parser_surfaces_only_package_errors_under_fuzzing(golden_rsp_text):
             crashed += 1
     assert parsed + crashed == 300
     assert crashed > 0  # corruption is usually caught
+
+
+# -- column-wise generation, rendering, parsing and verification ---------------
+
+# sha256 of `privamp vectors gen ... --count 1100 --rng-seed 7` (three chunks of cases),
+# pinned from the case-by-case implementation
+GEN_DIGESTS = {
+    ("toeplitz", 13, 5, "rsp"): "d08fd5c23eb4a81fdbebae1f36741573429f9feb93edc18cfabba77b8a8334c2",
+    ("toeplitz", 13, 5, "req"): "c686e9be82d06ffcf2055cfc700086b3c11b9aed1680efba4c886111aecff114",
+    ("toeplitz", 15, 15, "rsp"): "002999efdd616ad1c581bbe4a1111c48fabf6b03df509f7995e6f4020689e916",
+    ("modified-toeplitz", 128, 64, "rsp"): "0f103c92fa0997d5dfd830e6f256dd53b9869697c8624a3262572aa4b8a94d44",
+    ("modified-toeplitz", 128, 64, "req"): "7fbecfc8293ce041466e66ba0107b62bae8ee26c9d1401eb25301a4f925a6c09",
+    ("modified-toeplitz", 14, 3, "rsp"): "a5f55036ceda7bb6844a4427338d239c27e6b01db7fc88b516a92f33a305e10f",
+    ("trevisan", 16, 2, "rsp"): "ece0322783992f9132b2ba2e8ccea28270d112122fd4bfff9fc557594794add8",
+    ("trevisan", 16, 2, "req"): "7d56e7004e2e17c655dcdfd0a88746992dd7544353f77695e9571e4414fa5c8a",
+}
+
+
+@pytest.mark.parametrize("kind, n, m, file_kind", sorted(GEN_DIGESTS))
+def test_vectors_gen_output_is_pinned(tmp_path, capsys, kind, n, m, file_kind):
+    import hashlib
+
+    from privamp.cli import main
+
+    path = tmp_path / "gen.rsp"
+    extra = ["--one-bit-seed-length", "2"] if kind == "trevisan" else []
+    assert main(["vectors", "gen", "--type", kind, "-n", str(n), "-m", str(m), *extra,
+                 "--count", "1100", "--rng-seed", "7", "--kind", file_kind, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_DIGESTS[kind, n, m, file_kind]
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_chunked_draw_equals_per_case_draws(n, m):
+    # seed length n+m-1: n and d take every value mod 4 between them
+    ext = ToeplitzExtractor(n, m)
+    file = generate_test_vectors(ext, count=1030, rng_seed=n * m, kind="req")
+    rng = np.random.default_rng(n * m)
+    for case in file.cases:
+        assert case.input == BitString.random(n, rng)
+        assert case.seed == BitString.random(ext.seed_length, rng)
+
+
+def test_generate_and_verify_hash_through_the_class_extract(monkeypatch):
+    # a wrapper on the class attribute (as a tracer installs it) sees every hash
+    calls = []
+    original = ModifiedToeplitzExtractor.extract
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0].shape)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModifiedToeplitzExtractor, "extract", counting)
+    ext = ModifiedToeplitzExtractor(128, 64)
+    file = generate_test_vectors(ext, count=1500, rng_seed=1)
+    assert calls == [(512, 128), (512, 128), (476, 128)]
+    calls.clear()
+    assert verify_response_file(ext, file).passed
+    assert calls == [(512, 128), (512, 128), (476, 128)]
+
+
+def test_verify_reports_wrong_outputs_in_every_chunk():
+    ext = ToeplitzExtractor(13, 5)
+    text = generate_test_vectors(ext, count=2100, rng_seed=3).render()
+    file = parse_vector_file(text)
+    for count in (5, 511, 512, 1023, 1024, 2099):
+        case = file.cases[count]
+        case.output = BitString(case.output.bits ^ np.eye(5, dtype=np.uint8)[count % 5])
+    assert verify_response_file(ext, file).failed_counts == [5, 511, 512, 1023, 1024, 2099]
+
+
+def oracle_parse(text, extractor_config=None):
+    """The case-by-case parser: every field decoded alone, in file order."""
+    from privamp.bits import hex_decode
+    from privamp.exceptions import LengthMismatch
+    from privamp.testvectors import _FIELD_RE, Case, TestVectorFile, _config_from_header
+
+    def decode(value, length, line_no, name):
+        try:
+            return hex_decode(value, length)
+        except LengthMismatch as exc:
+            raise LengthInconsistency(f"{name}: {exc}", line=line_no) from None
+        except PrivampError as exc:
+            raise ParseError(f"{name}: {exc}", line=line_no) from None
+
+    header, section, raw_cases, current = [], None, [], None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            header.append(stripped[1:].strip())
+            continue
+        if stripped.startswith("[") and stripped.endswith("]"):
+            if section is not None:
+                raise ParseError("multiple sections are not supported", line=line_no)
+            section = stripped[1:-1]
+            continue
+        match = _FIELD_RE.match(stripped)
+        if not match:
+            raise ParseError(f"unrecognized line {stripped!r}", line=line_no)
+        name, value = match.group(1), match.group(2)
+        if section is None:
+            raise ParseError(f"field {name} before any [section]", line=line_no)
+        if name == "COUNT":
+            try:
+                count = int(value)
+            except ValueError:
+                raise ParseError(f"invalid COUNT value {value!r}", line=line_no) from None
+            current = {"COUNT": (count, line_no)}
+            raw_cases.append(current)
+        elif name in ("INPUT", "SEED", "OUTPUT"):
+            if current is None:
+                raise ParseError(f"{name} before any COUNT", line=line_no)
+            if name in current:
+                raise ParseError(f"duplicate {name} in COUNT {current['COUNT'][0]}", line=line_no)
+            current[name] = (value, line_no)
+        else:
+            raise ParseError(f"unknown field {name!r}", line=line_no)
+    if section is None:
+        raise ParseError("no [section] marker found", line=len(text.splitlines()) or 1)
+    config = extractor_config or _config_from_header(header)
+    if raw_cases and config is None:
+        raise ParseError("extractor configuration not found in header")
+    cases = []
+    for expected_count, raw in enumerate(raw_cases):
+        count, count_line = raw["COUNT"]
+        if count != expected_count:
+            raise ParseError(f"COUNT {count} out of order (expected {expected_count})", line=count_line)
+        for required in ("INPUT", "SEED"):
+            if required not in raw:
+                raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
+        x = decode(raw["INPUT"][0], config.input_length, raw["INPUT"][1], "INPUT")
+        if expected_count == 0:  # once, after the first INPUT has matched the declared length
+            seed_length = config.seed_length
+        y = decode(raw["SEED"][0], seed_length, raw["SEED"][1], "SEED")
+        out = None
+        if "OUTPUT" in raw:
+            out = decode(raw["OUTPUT"][0], config.output_length, raw["OUTPUT"][1], "OUTPUT")
+        cases.append(Case(count, x, y, out))
+    return TestVectorFile(header=header, section=section, cases=cases, extractor_config=config)
+
+
+def assert_parse_parity(text):
+    """parse_vector_file raises what the oracle raises (class, message, line) or returns its file."""
+    try:
+        expected = oracle_parse(text)
+    except PrivampError as exc:
+        with pytest.raises(PrivampError) as got:
+            parse_vector_file(text)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        assert getattr(got.value, "line", None) == getattr(exc, "line", None)
+    else:
+        assert parse_vector_file(text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_parity_on_mutated_golden_files(golden_rsp_text, data):
+    assert_parse_parity(data.draw(mutations(golden_rsp_text)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_files(), st.data())
+def test_parse_parity_on_mutated_generated_files(file, data):
+    text = file.render()
+    assert_parse_parity(text)
+    assert_parse_parity(data.draw(mutations(text)))
+
+
+_MANY_CHUNKS = generate_test_vectors(ModifiedToeplitzExtractor(13, 5), count=1100, rng_seed=2).render()
+_NEAR_LAST_CHUNK = _MANY_CHUNKS.index("COUNT = 1020\n")  # the third chunk starts at 1024
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_parse_parity_on_mutations_around_the_chunk_boundary(data):
+    head, tail = _MANY_CHUNKS[:_NEAR_LAST_CHUNK], _MANY_CHUNKS[_NEAR_LAST_CHUNK:]
+    assert_parse_parity(head + data.draw(mutations(tail)))
+
+
+def edit_case(text, count, field, edit):
+    """``text`` with ``edit(value)`` for ``field`` of case ``count``; edit None drops the line."""
+    lines = text.split("\n")
+    at = lines.index(f"COUNT = {count}")
+    j = next(i for i in range(at, at + 4) if lines[i].startswith(f"{field} = "))
+    if edit is None:
+        del lines[j]
+    else:
+        lines[j] = f"{field} = {edit(lines[j].split(' = ')[1])}"
+    return "\n".join(lines)
+
+
+FIELD_EDITS = {
+    "input-padding": ("INPUT", lambda v: "f" + v[1:]),
+    "seed-padding": ("SEED", lambda v: "f" + v[1:]),
+    "output-padding": ("OUTPUT", lambda v: "f" + v[1:]),
+    "input-too-long": ("INPUT", lambda v: v + "0"),
+    "seed-bad-digit": ("SEED", lambda v: v[:-1] + "g"),
+    "output-too-short": ("OUTPUT", lambda v: v[:-1]),
+    "input-missing": ("INPUT", None),
+    "seed-missing": ("SEED", None),
+    "output-missing": ("OUTPUT", None),
+    "count-skipped": ("COUNT", lambda v: str(int(v) + 1)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(FIELD_EDITS))
+@pytest.mark.parametrize("count", [0, 511, 512, 1099])
+def test_parse_parity_on_each_bad_field_in_each_chunk(count, edit):
+    assert_parse_parity(edit_case(_MANY_CHUNKS, count, *FIELD_EDITS[edit]))
+
+
+@pytest.mark.parametrize("first, second", [
+    ("output-padding", "input-padding"), ("seed-bad-digit", "count-skipped"),
+    ("output-missing", "seed-padding"),
+])
+def test_parse_parity_reports_the_first_of_two_bad_fields(first, second):
+    text = edit_case(_MANY_CHUNKS, 1030, *FIELD_EDITS[first])
+    assert_parse_parity(edit_case(text, 1031, *FIELD_EDITS[second]))
+
+
+def test_seed_length_is_read_after_the_first_input_matches():
+    # a Trevisan header without its seed-length parameter: a bad first INPUT is reported first
+    ext = TrevisanExtractor.create(input_length=16, output_length=2, one_bit_extractor_seed_length=2)
+    text = generate_test_vectors(ext, count=3, rng_seed=8).render()
+    text = text.replace("# One-bit seed length : 2\n", "")
+    with pytest.raises(ParseError, match="must carry"):
+        parse_vector_file(text)
+    first_input = text.index("INPUT = ") + len("INPUT = ")
+    bad = text[:first_input] + "zz" + text[first_input + 2 :]
+    with pytest.raises(ParseError, match="INPUT: invalid hex"):
+        parse_vector_file(bad)
+    for case_text in (text, bad):
+        assert_parse_parity(case_text)

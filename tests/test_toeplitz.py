@@ -11,12 +11,13 @@ from privamp import (
     BitString,
     ModifiedToeplitzExtractor,
     ToeplitzExtractor,
+    TrevisanExtractor,
     calculate_length,
     gf2_matvec,
     hex_decode,
     toeplitz,
 )
-from privamp.exceptions import InvalidRange, LengthMismatch, PrecisionLoss
+from privamp.exceptions import DimensionMismatch, InvalidRange, LengthMismatch, PrecisionLoss
 from privamp.toeplitz import _block_exact, _block_fft
 
 
@@ -480,3 +481,133 @@ def test_two_universality_second_size():
         for xa, xb in itertools.combinations(range(1 << n), 2):
             collisions = sum(a == b for a, b in zip(table[xa], table[xb]))
             assert collisions <= bound
+
+
+# -- many cases in one call -----------------------------------------------------
+
+
+def batch_rows(ext):
+    """Rows per extract call of extract_many: max(1, _BATCH_POINTS // next_pow2(q))."""
+    return max(1, toeplitz._BATCH_POINTS // (1 << (ext.seed_length - 1).bit_length()))
+
+
+def assert_rows_match_matrix(ext, xs, ys, out):
+    assert out.shape == (len(xs), ext.output_length) and out.dtype == np.uint8
+    assert not out.flags.writeable
+    for x, y, row in zip(xs, ys, out):
+        assert np.array_equal(row, ext.extract(BitString(x), BitString(y), method="matrix").bits)
+
+
+@st.composite
+def many_cases(draw):
+    """(batch points, block, extractor, xs, ys): c rows at or beside the batch size, or 0.
+
+    c is capped at 300 rows, which only the production 2^18 points exceed.
+    """
+    points = draw(st.sampled_from([64, 256, 1 << 18]))
+    block = draw(st.sampled_from([4, toeplitz._BLOCK]))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        ext = ToeplitzExtractor(n, draw(st.integers(1, n)))
+    else:
+        ext = ModifiedToeplitzExtractor(n, draw(st.integers(1, n - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toeplitz, "_BATCH_POINTS", points)
+        rows = batch_rows(ext)
+    c = min(draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1])), 300)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.integers(0, 2, size=(c, n), dtype=np.uint8)
+    ys = rng.integers(0, 2, size=(c, ext.seed_length), dtype=np.uint8)
+    return points, block, ext, xs, ys
+
+
+@settings(max_examples=120, deadline=None)
+@given(many_cases())
+def test_extract_many_rows_match_matrix(case):
+    # block 4 makes most shapes partitioned: their batches run one 1-D row at a time
+    points, block, ext, xs, ys = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toeplitz, "_BATCH_POINTS", points)
+        mp.setattr(toeplitz, "_BLOCK", block)
+        assert_rows_match_matrix(ext, xs, ys, ext.extract_many(xs, ys))
+
+
+@pytest.mark.parametrize("ext, rows", [
+    (ModifiedToeplitzExtractor(128, 64), 2048), (ToeplitzExtractor(128, 64), 1024),
+])
+def test_extract_many_batch_rule_at_128_to_64(ext, rows):
+    assert batch_rows(ext) == rows
+    rng = np.random.default_rng(rows)
+    xs = rng.integers(0, 2, size=(rows + 1, 128), dtype=np.uint8)
+    ys = rng.integers(0, 2, size=(rows + 1, ext.seed_length), dtype=np.uint8)
+    assert_rows_match_matrix(ext, xs, ys, ext.extract_many(xs, ys))
+
+
+def test_extract_many_calls_extract_once_per_batch(monkeypatch):
+    ext = ModifiedToeplitzExtractor(128, 64)
+    shapes = []
+    original = ModifiedToeplitzExtractor.extract
+
+    def counting(self, x, y, *args, **kwargs):
+        shapes.append(x.shape)
+        return original(self, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(ModifiedToeplitzExtractor, "extract", counting)
+    xs = np.zeros((5000, 128), dtype=np.uint8)
+    ys = np.zeros((5000, 127), dtype=np.uint8)
+    ext.extract_many(xs, ys)
+    assert shapes == [(2048, 128), (2048, 128), (904, 128)]
+    monkeypatch.setattr(toeplitz, "_BATCH_POINTS", 128)  # one row per call: 1-D rows
+    shapes.clear()
+    ext.extract_many(xs[:3], ys[:3])
+    assert shapes == [(128,)] * 3
+
+
+@pytest.mark.parametrize("method", ["fft", "exact", "matrix"])
+def test_extract_with_a_batch_axis_matches_row_by_row(method):
+    rng = np.random.default_rng(17)
+    for ext in (ToeplitzExtractor(23, 9), ModifiedToeplitzExtractor(23, 9)):
+        xs = rng.integers(0, 2, size=(7, 23), dtype=np.uint8)
+        ys = rng.integers(0, 2, size=(7, ext.seed_length), dtype=np.uint8)
+        assert_rows_match_matrix(ext, xs, ys, ext.extract(xs, ys, method=method))
+
+
+def trevisan_16():
+    return TrevisanExtractor.create(input_length=16, output_length=3, one_bit_extractor_seed_length=2)
+
+
+def test_extract_many_trevisan_loops_extract():
+    ext = trevisan_16()
+    rng = np.random.default_rng(3)
+    for c in (0, 1, 9):
+        xs = rng.integers(0, 2, size=(c, 16), dtype=np.uint8)
+        ys = rng.integers(0, 2, size=(c, ext.seed_length), dtype=np.uint8)
+        out = ext.extract_many(xs, ys)
+        assert out.shape == (c, 3) and out.dtype == np.uint8 and not out.flags.writeable
+        for x, y, row in zip(xs, ys, out):
+            assert np.array_equal(row, ext.extract(BitString(x), BitString(y)).bits)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ToeplitzExtractor(16, 8), lambda: ModifiedToeplitzExtractor(16, 8), trevisan_16,
+])
+def test_extract_many_checks_like_extract(make):
+    ext = make()
+    n, d = ext.input_length, ext.seed_length
+    x, y = np.zeros((2, n), dtype=np.uint8), np.zeros((2, d), dtype=np.uint8)
+    calls = [ext.extract_many]
+    if not hasattr(ext, "one_bit"):  # Toeplitz extract takes the batch axis itself
+        calls.append(ext.extract)
+    for call in calls:
+        for xs, ys in [(x[:, 1:], y), (x, y[:, 1:])]:
+            with pytest.raises(LengthMismatch) as one:  # the same widths, one case
+                ext.extract(BitString(xs[0]), BitString(ys[0]))
+            with pytest.raises(LengthMismatch, match=f"^{re.escape(str(one.value))}$"):
+                call(xs, ys)
+        for xs, ys in [(x + 2, y), (x, y - 1), (x.astype(float) + 0.5, y)]:
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                call(xs, ys)
+        with pytest.raises(DimensionMismatch):
+            call(x, y[:1])
+    with pytest.raises(DimensionMismatch):
+        ext.extract_many(x[0], y[0])

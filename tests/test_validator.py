@@ -300,7 +300,12 @@ def test_crashed_cases_recorded_not_fatal():
 @pytest.mark.parametrize("command, options, error", [
     ('sh -c "echo zz" $SEED$ $INPUT$', {"output_parser": "hex"}, "unparseable hex output"),
     ("true $SEED$ $INPUT$ $OUTPUT$", {"input_method": "files"}, "could not read output file"),
-], ids=["non-hex-output", "missing-output-file"])
+    (r"""sh -c 'printf "\377"' $SEED$ $INPUT$""", {}, "output is not UTF-8: b'\\xff'"),
+    (r"""sh -c 'printf "\377" > "$0"' $OUTPUT$ $SEED$ $INPUT$""", {"input_method": "files"},
+     "output is not UTF-8"),
+    (r"""sh -c 'printf "\377" >&2; exit 3' $SEED$ $INPUT$""", {}, "exit code 3: \ufffd"),
+], ids=["non-hex-output", "missing-output-file", "non-utf8-stdout", "non-utf8-output-file",
+        "non-utf8-stderr-on-exit-3"])
 def test_unreadable_output_recorded_as_crash(command, options, error):
     validator = Validator(ToeplitzExtractor(2, 1))
     validator.add_implementation(
@@ -310,6 +315,19 @@ def test_unreadable_output_recorded_as_crash(command, options, error):
     report = validator.validate(mode="random", sample_size=2, rng_seed=0, workers=1)
     assert report.n_failed == report.n_crashed == 2
     assert all(error in case.error for case in report.failed)
+
+
+def test_non_utf8_stderr_of_a_correct_implementation_passes(thirdparty_bin):
+    # stderr is read only for the message of a failed exit; it cannot fail a case
+    ext = ToeplitzExtractor(3, 2)
+    validator = Validator(ext)
+    inner = thirdparty_command(thirdparty_bin, "toeplitz", 3, 2)
+    validator.add_implementation(
+        label="x", command=f"""sh -c 'printf "\\377" >&2; exec "$0" "$@"' {inner}""",
+        serializers={"$INPUT$": "binary-string", "$SEED$": "binary-string"},
+    )
+    report = validator.validate(mode="exhaustive", workers=2)
+    assert report.passed and report.total == 2**3 * 2**4 and report.n_crashed == 0
 
 
 def test_per_case_timeout():
