@@ -150,34 +150,50 @@ class BitString:
 
 def hex_encode(b: BitString) -> str:
     """Lowercase hex of ``b``, MSB first, left-padded to a byte boundary."""
-    b = BitString(b)
-    if len(b) == 0:
-        return ""
-    pad = (-len(b)) % 8
-    padded = np.concatenate([np.zeros(pad, dtype=np.uint8), b.bits])
-    return np.packbits(padded).tobytes().hex()
+    return _hex_rows(BitString(b).bits[None])[0]
 
 
 def hex_decode(s: str, length: int) -> BitString:
     """Inverse of :func:`hex_encode` for a known bit ``length``."""
+    return BitString._wrap(_unhex_rows([s], length)[0])
+
+
+def _hex_rows(rows: np.ndarray) -> list[str]:
+    """:func:`hex_encode` of each row of the (c, n) 0/1 array ``rows``."""
+    c, n = rows.shape
+    padded = np.concatenate([np.zeros((c, (-n) % 8), dtype=np.uint8), rows], axis=1)
+    # each padded row is whole bytes, so the flat packbits keeps rows apart
+    text, width = np.packbits(padded).tobytes().hex(), padded.shape[1] // 4
+    return [text[i * width : (i + 1) * width] for i in range(c)]
+
+
+def _unhex_rows(values: list[str], length: int) -> np.ndarray:
+    """:func:`hex_decode` of each string of ``values`` as one read-only (c, length) uint8 array.
+
+    The checks run in turn over the whole column (a negative length, then
+    character count, digits and padding); each raises for the first value
+    that fails it.
+    """
     if length < 0:
         raise LengthMismatch("length must be non-negative")
-    expected_chars = ((length + 7) // 8) * 2
-    if len(s) != expected_chars:
-        raise LengthMismatch(
-            f"expected {expected_chars} hex chars for {length} bits, got {len(s)}"
-        )
+    chars = ((length + 7) // 8) * 2
+    for s in values:
+        if len(s) != chars:
+            raise LengthMismatch(f"expected {chars} hex chars for {length} bits, got {len(s)}")
+    text = "".join(values)
     try:
-        raw = np.frombuffer(bytes.fromhex(s), dtype=np.uint8)
+        raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
     except ValueError:
         raw = None
-    if raw is None or raw.size != expected_chars // 2:  # fromhex skips whitespace
-        raise InvalidHexDigit(f"invalid hex digit(s): {sorted(set(s) - _HEX_DIGITS)}")
-    bits = np.unpackbits(raw)
-    pad = bits.size - length
-    if pad and bits[:pad].any():
+    if raw is None or 2 * raw.size != len(text):  # fromhex skips whitespace
+        bad = next(set(s) - _HEX_DIGITS for s in values if set(s) - _HEX_DIGITS)
+        raise InvalidHexDigit(f"invalid hex digit(s): {sorted(bad)}")
+    bits = np.unpackbits(raw.reshape(len(values), chars // 2), axis=1)
+    pad = bits.shape[1] - length
+    if pad and bits[:, :pad].any():
         raise NonZeroPadding(f"{pad} padding bit(s) must be zero")
-    return BitString(bits[pad:])
+    bits.setflags(write=False)
+    return bits[:, pad:]
 
 
 def gf2_matvec(matrix: Gf2Matrix, x) -> Gf2Vector:

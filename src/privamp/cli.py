@@ -66,10 +66,17 @@ def _build_extractor(args) -> SeededExtractor:
     return SeededExtractor.create(args.type, **kwargs)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {exc.encoding} text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_hex(value: str, length: int, what: str) -> BitString:
     if value.startswith("@"):
-        with open(value[1:]) as fh:
-            value = fh.read().strip()
+        value = _read_text(value[1:]).strip()
     try:
         return hex_decode(value, length)
     except LengthMismatch:
@@ -148,9 +155,7 @@ def cmd_vectors_gen(args) -> int:
 
 
 def cmd_vectors_verify(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
-    file = testvectors.parse_vector_file(text)
+    file = testvectors.parse_vector_file(_read_text(args.file))
     if file.extractor_config is None:
         raise ParseError("extractor configuration not found in header")
     verification = testvectors.verify_response_file(file.extractor_config.extractor, file)

@@ -26,7 +26,8 @@ on field names, '=' separators and hex validity.
 
 Generation, rendering, parsing and verification work column-wise on
 chunks of 512 cases: one random draw, one hex encode or decode per
-field and one ``extract_many`` per chunk.
+field and one ``extract_many`` per chunk.  The hex codec is
+:mod:`privamp.bits`'s, the one behind ``hex_encode`` and ``hex_decode``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bits import BitString, hex_decode
+from .bits import BitString, _hex_rows, _unhex_rows, hex_decode
 from .exceptions import (
     InvalidRange,
     LengthInconsistency,
@@ -155,30 +156,9 @@ def _rows(values: list, width: int) -> np.ndarray | None:
 
 
 def _hex_column(values: list) -> list[str]:
-    """``v.to_hex()`` for each BitString ``v`` of ``values``, by one packbits if all have one length."""
-    rows = _rows(values, len(values[0])) if values else None
-    if rows is None:
-        return [v.to_hex() for v in values]
-    packed = np.packbits(np.pad(rows, ((0, 0), ((-rows.shape[1]) % 8, 0))), axis=1)
-    text, width = packed.tobytes().hex(), 2 * packed.shape[1]
-    return [text[i * width : (i + 1) * width] for i in range(len(values))]
-
-
-def _unhex_column(values: list, length: int) -> np.ndarray | None:
-    """:func:`hex_decode` of each string of ``values`` as one read-only (c, length) array; None if any fails."""
-    chars = (length + 7) // 8 * 2
-    if any(len(v) != chars for v in values):
-        return None
-    try:  # no value holds whitespace (the field pattern is \S*), which fromhex would skip
-        raw = np.frombuffer(bytes.fromhex("".join(values)), dtype=np.uint8)
-    except ValueError:
-        return None
-    bits = np.unpackbits(raw.reshape(len(values), chars // 2), axis=1)
-    pad = bits.shape[1] - length
-    if bits[:, :pad].any():
-        return None
-    bits.setflags(write=False)
-    return bits[:, pad:]
+    """``v.to_hex()`` of each BitString ``v`` of ``values``: one :func:`_hex_rows` if all have one length."""
+    rows = _rows(values, len(values[0]) if values else 0)
+    return [v.to_hex() for v in values] if rows is None else _hex_rows(rows)
 
 
 def generate_test_vectors(
@@ -279,16 +259,14 @@ def _decode_columns(chunk: list, lo: int, config: VectorConfig) -> list | None:
     for count, raw in enumerate(chunk, start=lo):
         if raw["COUNT"][0] != count or "INPUT" not in raw or "SEED" not in raw:
             return None
-    xs = _unhex_column([raw["INPUT"][0] for raw in chunk], config.input_length)
-    if xs is None:
+    try:
+        xs = _unhex_rows([raw["INPUT"][0] for raw in chunk], config.input_length)
+        # read only once the inputs have matched the declared length
+        ys = _unhex_rows([raw["SEED"][0] for raw in chunk], config.seed_length)
+        outs = [raw["OUTPUT"][0] for raw in chunk if "OUTPUT" in raw]
+        outs = iter(_unhex_rows(outs, config.output_length))
+    except PrivampError:
         return None
-    # read only once the inputs have matched the declared length
-    ys = _unhex_column([raw["SEED"][0] for raw in chunk], config.seed_length)
-    outs = [raw["OUTPUT"][0] for raw in chunk if "OUTPUT" in raw]
-    outs = _unhex_column(outs, config.output_length)
-    if ys is None or outs is None:
-        return None
-    outs = iter(outs)
     return [
         Case(count, BitString._wrap(x), BitString._wrap(y),
              BitString._wrap(next(outs)) if "OUTPUT" in raw else None)

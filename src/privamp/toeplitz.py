@@ -50,7 +50,7 @@ the c rows share one transform along the last axis; otherwise, and for
 next_pow2(q)) rows (2048 at modified 128->64, 1024 at standard
 128->64), so a call transforms at most 2^18 points per operand; a shape
 whose transform alone has 2^18 points, every partitioned one among
-them, goes one 1-D row at a time.
+them, goes in blocks of one row.
 """
 
 from __future__ import annotations
@@ -254,8 +254,6 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         Blocks hold max(1, 2^18 // next_pow2(q)) rows (module docstring).
         """
         rows = max(1, _BATCH_POINTS >> max(0, self.seed_length - 1).bit_length())
-        if rows == 1:
-            return super().extract_many(xs, ys)
         xs, ys = self._check_rows(xs, ys)
         out = np.empty((len(xs), self.output_length), dtype=np.uint8)
         for lo in range(0, len(xs), rows):

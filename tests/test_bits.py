@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from privamp import BitString, gf2_matvec, hex_decode, hex_encode
+from privamp.bits import _hex_rows, _unhex_rows
 from privamp.exceptions import (
     DimensionMismatch,
     InvalidHexDigit,
     LengthMismatch,
     NonZeroPadding,
+    PrivampError,
 )
 
 
@@ -166,3 +168,45 @@ def test_gf2_matvec_rejects_values_other_than_0_and_1_before_casting(matrix, vec
 def test_hex_decode_accepts_uppercase():
     assert hex_decode("AB", 8) == hex_decode("ab", 8)
     assert hex_encode(hex_decode("AB", 8)) == "ab"  # output stays lowercase
+
+
+# (value, length, class, message) as the codec words each rejection
+HEX_REJECTIONS = [
+    ("ab", -1, LengthMismatch, "length must be non-negative"),
+    ("abc", 8, LengthMismatch, "expected 2 hex chars for 8 bits, got 3"),
+    ("0g", 8, InvalidHexDigit, "invalid hex digit(s): ['g']"),
+    ("a ", 8, InvalidHexDigit, "invalid hex digit(s): [' ']"),
+    ("é0", 8, InvalidHexDigit, "invalid hex digit(s): ['é']"),
+    ("ff", 7, NonZeroPadding, "1 padding bit(s) must be zero"),
+    ("ffff", 13, NonZeroPadding, "3 padding bit(s) must be zero"),
+]
+
+
+@pytest.mark.parametrize("value, length, cls, message", HEX_REJECTIONS)
+def test_hex_decode_pins_class_and_message(value, length, cls, message):
+    with pytest.raises(PrivampError) as info:
+        hex_decode(value, length)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, length, cls, message", HEX_REJECTIONS)
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_unhex_rows_raises_for_a_bad_first_middle_or_last_row(value, length, cls, message, where):
+    values = ["0" * ((max(length, 0) + 7) // 8 * 2)] * 5
+    values[where] = value
+    with pytest.raises(PrivampError) as info:
+        _unhex_rows(values, length)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 127, 128])
+def test_hex_rows_match_the_one_value_codec(length):
+    rows = np.random.default_rng(length).integers(0, 2, size=(6, length), dtype=np.uint8)
+    text = _hex_rows(rows)
+    assert text == [hex_encode(BitString(r)) for r in rows]
+    bits = _unhex_rows(text, length)
+    assert not bits.flags.writeable
+    assert np.array_equal(bits, rows)
+    assert _hex_rows(rows[:0]) == [] and _unhex_rows([], length).shape == (0, length)

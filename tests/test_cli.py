@@ -384,6 +384,19 @@ def test_extract_invalid_hex_exits_2(capsys):
     assert "hex" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["vectors", "verify", "{path}"],
+    ["extract", "--type", "toeplitz", "-n", "8", "-m", "4", "--input", "@{path}", "--seed", "00"],
+], ids=["vectors-verify", "extract-input-file"])
+def test_non_utf8_file_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "binary.rsp"
+    path.write_bytes(b"\xff\xfe00")
+    code, _, err = run(capsys, *(arg.format(path=path) for arg in command))
+    assert code == 2
+    assert err.startswith(f"error: {path}: not ") and "at byte 0" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["params", "--type", "trevisan", "-n", "64", "--entropy", "0.5", "--error", "1e-3",
       "--one-bit-seed-length", "6"], "prime power"),

@@ -557,10 +557,10 @@ def test_extract_many_calls_extract_once_per_batch(monkeypatch):
     ys = np.zeros((5000, 127), dtype=np.uint8)
     ext.extract_many(xs, ys)
     assert shapes == [(2048, 128), (2048, 128), (904, 128)]
-    monkeypatch.setattr(toeplitz, "_BATCH_POINTS", 128)  # one row per call: 1-D rows
+    monkeypatch.setattr(toeplitz, "_BATCH_POINTS", 128)  # one row per call
     shapes.clear()
     ext.extract_many(xs[:3], ys[:3])
-    assert shapes == [(128,)] * 3
+    assert shapes == [(1, 128)] * 3
 
 
 @pytest.mark.parametrize("method", ["fft", "exact", "matrix"])
