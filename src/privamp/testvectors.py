@@ -20,14 +20,18 @@ file carries OUTPUT lines, a request (.req) file does not.
     OUTPUT = ab26...
 
 Extractor-specific parameters (e.g. the Trevisan one-bit seed length)
-travel as additional "# Key : value" header comments.  The parser is
-tolerant of arbitrary comment lines and blank-line spacing, and strict
-on field names, '=' separators and hex validity.
+travel as additional "# Key : value" header comments.
 
-Generation, rendering, parsing and verification work column-wise on
-chunks of 512 cases: one random draw, one hex encode or decode per
-field and one ``extract_many`` per chunk.  The hex codec is
-:mod:`privamp.bits`'s, the one behind ``hex_encode`` and ``hex_decode``.
+A file is held as read-only 0/1 uint8 columns of (c, n) inputs, (c, d)
+seeds and (c, m) outputs, so a file whose cases differ in width cannot
+be built.  Generation and verification hash 512 cases per
+``extract_many`` call.
+Parsing first tiles the text with cases laid out exactly as rendered,
+by one regular expression, and decodes each column at once; any other
+text (comments between cases, blank lines, CRLF, uppercase hex, a bad
+field) goes to the line parser, the one place that raises: tolerant of
+comment lines and blank-line spacing, strict on field names, '='
+separators and hex validity.
 """
 
 from __future__ import annotations
@@ -56,12 +60,17 @@ SECTION = "EXTRACT"
 #: Timestamp line used when generation is deterministic (fixed rng seed).
 DETERMINISTIC_TIMESTAMP = "Thu Jan  1 00:00:00 1970"
 
-#: Cases drawn, encoded, decoded and hashed together: 1024 would hold the
-#: spectra of twice as many cases at once, and raise peak RSS by ~1 MiB
+#: Cases hashed together: 1024 would hold the spectra of twice as many
+#: cases at once, and raise peak RSS by ~1 MiB
 _CHUNK = 512
 
 _FIELD_RE = re.compile(r"^(\w+)\s*=\s*(\S*)\s*$")
 _HEADER_KV_RE = re.compile(r"^#\s*([^:]+?)\s*:\s*(.+?)\s*$")
+# the strict pass, compiled on first use: comment lines (with none of the other
+# breaks that str.splitlines splits at) and blank lines, the section line, the cases
+_HEAD = r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n|\n)*\[(\w+)\]\n"
+_REQ_CASE = r"\nCOUNT = (\d+)\nINPUT = ([0-9a-f]*)\nSEED = ([0-9a-f]*)\n"
+_RSP_CASE = _REQ_CASE + r"OUTPUT = ([0-9a-f]*)\n"
 
 #: vector_name -> (SeededExtractor.create kind, {header parameter: create keyword})
 _KINDS = {
@@ -104,17 +113,7 @@ class VectorConfig:
         )
 
 
-def config_for(ext: SeededExtractor) -> VectorConfig:
-    # parameter values live in text headers, so they are carried as strings
-    return VectorConfig(
-        name=ext.vector_name,
-        input_length=ext.input_length,
-        output_length=ext.output_length,
-        params=tuple((k, str(v)) for k, v in ext.header_params().items()),
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class Case:
     count: int
     input: BitString
@@ -122,50 +121,77 @@ class Case:
     output: BitString | None = None
 
 
-@dataclass
+def _stack(values: list) -> np.ndarray:
+    """The bits of the BitStrings ``values`` as one read-only (c, width) array."""
+    if len({len(v) for v in values}) > 1:
+        raise LengthMismatch("the cases of a file must all have one width per field")
+    rows = np.stack([v.bits for v in values]) if values else np.empty((0, 0), dtype=np.uint8)
+    rows.setflags(write=False)
+    return rows
+
+
 class TestVectorFile:
-    header: list  # comment lines, without the leading "# "
-    section: str
-    cases: list
-    extractor_config: VectorConfig | None = None
+    """A test vector file: header comment lines, section name and cases as columns.
+
+    Row i of ``inputs`` and ``seeds`` is the case numbered ``counts[i]``.
+    ``outputs`` holds the OUTPUT rows, in order, of the cases that
+    ``has_output`` marks, and is None if no case carries one.  A file is
+    built from a list of :class:`Case`, stacked once, or from
+    ``columns=(inputs, seeds, outputs)`` numbered 0, 1, ...
+    """
+
+    def __init__(self, header, section, cases=(), extractor_config=None, *, columns=None):
+        self.header = header  # comment lines, without the leading "# "
+        self.section, self.extractor_config = section, extractor_config
+        if columns is None:  # the cases, stacked once
+            self.counts = [c.count for c in cases]
+            self.has_output = np.array([c.output is not None for c in cases], dtype=bool)
+            outputs = [c.output for c in cases if c.output is not None]
+            columns = (_stack([c.input for c in cases]), _stack([c.seed for c in cases]),
+                       _stack(outputs) if outputs else None)
+        else:
+            self.counts = range(len(columns[0]))
+            self.has_output = np.full(len(columns[0]), columns[2] is not None)
+        self.inputs, self.seeds, self.outputs = columns
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TestVectorFile):
+            return NotImplemented
+        # by value, every attribute as an array: header, counts, columns and mask alike
+        return all(np.array_equal(value, getattr(other, key)) for key, value in vars(self).items())
+
+    @property
+    def cases(self) -> list:
+        """The cases as :class:`Case` objects, built from the columns on each access."""
+        outputs = iter(map(BitString._wrap, () if self.outputs is None else self.outputs))
+        return [
+            Case(k, BitString._wrap(x), BitString._wrap(y), next(outputs) if present else None)
+            for k, x, y, present in zip(self.counts, self.inputs, self.seeds, self.has_output)
+        ]
 
     @property
     def kind(self) -> str:
-        return "rsp" if self.cases and all(c.output is not None for c in self.cases) else "req"
+        return "rsp" if self.has_output.size and self.has_output.all() else "req"
 
     def render(self) -> str:
-        lines = [f"# {h}" if h else "#" for h in self.header]
-        lines += ["", f"[{self.section}]"]
-        for lo in range(0, len(self.cases), _CHUNK):
-            chunk = self.cases[lo : lo + _CHUNK]
-            inputs = _hex_column([c.input for c in chunk])
-            seeds = _hex_column([c.seed for c in chunk])
-            outputs = iter(_hex_column([c.output for c in chunk if c.output is not None]))
-            for case, x, y in zip(chunk, inputs, seeds):
-                lines += ["", f"COUNT = {case.count}", f"INPUT = {x}", f"SEED = {y}"]
-                if case.output is not None:
-                    lines.append(f"OUTPUT = {next(outputs)}")
-        return "\n".join(lines) + "\n"
+        head = "".join(f"# {h}\n" if h else "#\n" for h in self.header) + f"\n[{self.section}]\n"
+        outputs = iter(() if self.outputs is None else _hex_rows(self.outputs))
+        tails = ["OUTPUT = " + next(outputs) + "\n" if p else "" for p in self.has_output.tolist()]
+        rows = zip(self.counts, _hex_rows(self.inputs), _hex_rows(self.seeds), tails)
+        return head + "".join(f"\nCOUNT = {k}\nINPUT = {x}\nSEED = {y}\n{t}" for k, x, y, t in rows)
 
 
-def _rows(values: list, width: int) -> np.ndarray | None:
-    """The bits of the BitStrings ``values`` as one (c, width) array; None unless all are ``width`` bits."""
-    if any(len(v) != width for v in values):
-        return None
-    return np.stack([v.bits for v in values]) if values else np.empty((0, width), dtype=np.uint8)
-
-
-def _hex_column(values: list) -> list[str]:
-    """``v.to_hex()`` of each BitString ``v`` of ``values``: one :func:`_hex_rows` if all have one length."""
-    rows = _rows(values, len(values[0]) if values else 0)
-    return [v.to_hex() for v in values] if rows is None else _hex_rows(rows)
+def _hash_rows(ext: SeededExtractor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``ext.extract_many(xs, ys)`` as one read-only array, hashed 512 rows at a time."""
+    rows = np.empty((len(xs), ext.output_length), dtype=np.uint8)
+    for lo in range(0, len(xs), _CHUNK):
+        rows[lo : lo + _CHUNK] = ext.extract_many(xs[lo : lo + _CHUNK], ys[lo : lo + _CHUNK])
+    rows.setflags(write=False)
+    return rows
 
 
 def generate_test_vectors(
-    ext: SeededExtractor,
-    count: int,
-    rng_seed: int | None = None,
-    kind: str = "rsp",
+    ext: SeededExtractor, count: int, rng_seed: int | None = None, kind: str = "rsp"
 ) -> TestVectorFile:
     """Draw ``count`` uniform (input, seed) cases for ``ext``.
 
@@ -178,47 +204,33 @@ def generate_test_vectors(
         raise InvalidRange("count must be >= 1")
     if kind not in ("req", "rsp"):
         raise InvalidRange(f"kind must be req or rsp, got {kind!r}")
-    config = config_for(ext)
     n, d = ext.input_length, ext.seed_length
+    # parameter values live in text headers, so they are carried as strings
+    params = tuple((k, str(v)) for k, v in ext.header_params().items())
+    config = VectorConfig(ext.vector_name, n, ext.output_length, params)
     # BitString.random draws its bytes from whole 32-bit words, dropping the
     # rest of the last one: one draw of both widths rounded up to 4 per case
-    # gives the bits of the per-case calls
+    # gives the bits of the per-case calls, and so does one draw of all cases
     wn, wd = -(-n // 4) * 4, -(-d // 4) * 4
-    rng = np.random.default_rng(rng_seed)
-    cases = []
-    for lo in range(0, count, _CHUNK):
-        c = min(_CHUNK, count - lo)
-        draw = rng.integers(0, 2, size=(c, wn + wd), dtype=np.uint8)
-        draw.setflags(write=False)
-        xs, ys = draw[:, :n], draw[:, wn : wn + d]
-        outs = map(BitString._wrap, ext.extract_many(xs, ys)) if kind == "rsp" else [None] * c
-        cases += [
-            Case(lo + i, BitString._wrap(x), BitString._wrap(y), out)
-            for i, (x, y, out) in enumerate(zip(xs, ys, outs))
-        ]
+    draw = np.random.default_rng(rng_seed).integers(0, 2, size=(count, wn + wd), dtype=np.uint8)
+    draw.setflags(write=False)
+    xs, ys = draw[:, :n], draw[:, wn : wn + d]
+    outputs = _hash_rows(ext, xs, ys) if kind == "rsp" else None
     ratio = Fraction(ext.output_length, ext.input_length)
     stamp = DETERMINISTIC_TIMESTAMP if rng_seed is not None else time.asctime()
-    header = [
-        "CAVS",
-        ext.vector_name,
-        f"Input Length : {ext.input_length}",
-        f"Compression ratio: {ratio.numerator}/{ratio.denominator}",
-    ]
-    header += [f"{k} : {v}" for k, v in config.params]
-    header.append(f"Generated on {stamp}")
-    return TestVectorFile(header=header, section=SECTION, cases=cases, extractor_config=config)
+    header = ["CAVS", ext.vector_name, f"Input Length : {n}"]
+    header += [f"Compression ratio: {ratio.numerator}/{ratio.denominator}"]
+    header += [f"{k} : {v}" for k, v in params] + [f"Generated on {stamp}"]
+    return TestVectorFile(header, SECTION, extractor_config=config, columns=(xs, ys, outputs))
 
 
 def _config_from_header(header: list) -> VectorConfig | None:
     name = next((h.strip() for h in header if h.strip() in _KINDS), None)
-    n = m = None
-    ratio = None
+    n = m = ratio = None
     params = []
     for h in header:
-        if h.strip().startswith("Generated on"):
-            continue
         kv = _HEADER_KV_RE.match(f"# {h}")
-        if not kv:
+        if not kv or h.strip().startswith("Generated on"):
             continue
         key, value = kv.group(1), kv.group(2)
         try:
@@ -233,67 +245,14 @@ def _config_from_header(header: list) -> VectorConfig | None:
                 params.append((key, value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"invalid header value for {key!r}: {value!r} ({exc})") from None
-    if name is None or n is None:
+    if name is None or n is None or (m is None and ratio is None):
         return None
-    if m is None and ratio is not None:
+    if m is None:
         exact = n * ratio
         if exact.denominator != 1:
             raise ParseError(f"compression ratio {ratio} of {n} bits is not integral")
         m = int(exact)
-    if m is None:
-        return None
     return VectorConfig(name=name, input_length=n, output_length=m, params=tuple(params))
-
-
-def _decode_field(value: str, length: int, line_no: int, name: str) -> BitString:
-    try:
-        return hex_decode(value, length)
-    except LengthMismatch as exc:
-        raise LengthInconsistency(f"{name}: {exc}", line=line_no) from None
-    except PrivampError as exc:
-        raise ParseError(f"{name}: {exc}", line=line_no) from None
-
-
-def _decode_columns(chunk: list, lo: int, config: VectorConfig) -> list | None:
-    """The cases of ``chunk`` (COUNT ``lo`` on) by one decode per field; None if any is bad."""
-    for count, raw in enumerate(chunk, start=lo):
-        if raw["COUNT"][0] != count or "INPUT" not in raw or "SEED" not in raw:
-            return None
-    try:
-        xs = _unhex_rows([raw["INPUT"][0] for raw in chunk], config.input_length)
-        # read only once the inputs have matched the declared length
-        ys = _unhex_rows([raw["SEED"][0] for raw in chunk], config.seed_length)
-        outs = [raw["OUTPUT"][0] for raw in chunk if "OUTPUT" in raw]
-        outs = iter(_unhex_rows(outs, config.output_length))
-    except PrivampError:
-        return None
-    return [
-        Case(count, BitString._wrap(x), BitString._wrap(y),
-             BitString._wrap(next(outs)) if "OUTPUT" in raw else None)
-        for count, (raw, x, y) in enumerate(zip(chunk, xs, ys), start=lo)
-    ]
-
-
-def _decode_cases(chunk: list, lo: int, config: VectorConfig) -> list:
-    """The cases of ``chunk`` field by field, in file order: raises for the first bad field."""
-    cases = []
-    for expected_count, raw in enumerate(chunk, start=lo):
-        count, count_line = raw["COUNT"]
-        if count != expected_count:
-            raise ParseError(
-                f"COUNT {count} out of order (expected {expected_count})", line=count_line
-            )
-        for required in ("INPUT", "SEED"):
-            if required not in raw:
-                raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
-        x = _decode_field(raw["INPUT"][0], config.input_length, raw["INPUT"][1], "INPUT")
-        # read only once an INPUT has matched the declared length
-        y = _decode_field(raw["SEED"][0], config.seed_length, raw["SEED"][1], "SEED")
-        out = None
-        if "OUTPUT" in raw:
-            out = _decode_field(raw["OUTPUT"][0], config.output_length, raw["OUTPUT"][1], "OUTPUT")
-        cases.append(Case(count, x, y, out))
-    return cases
 
 
 def parse_vector_file(text: str, extractor_config: VectorConfig | None = None) -> TestVectorFile:
@@ -302,13 +261,51 @@ def parse_vector_file(text: str, extractor_config: VectorConfig | None = None) -
     The extractor configuration is taken from ``extractor_config`` when
     given, otherwise recovered from the header comments; it is required
     as soon as the file contains cases, because bit lengths (and hence
-    hex padding) cannot be checked without it.
+    hex padding) cannot be checked without it.  Text laid out as
+    :meth:`TestVectorFile.render` writes it is read in one strict pass;
+    any other text, and every error, goes to the line parser.
     """
-    header: list = []
-    section = None
-    raw_cases = []  # (count, fields dict name -> (value, line))
-    current = None
+    return _parse_strict(text, extractor_config) or _parse_lines(text, extractor_config)
 
+
+def _parse_strict(text: str, extractor_config: VectorConfig | None) -> TestVectorFile | None:
+    """The file of ``text`` if it is laid out exactly as rendered and valid; None otherwise."""
+    head = re.match(_HEAD, text)
+    if head is None:
+        return None
+    body = text[head.end() :]
+    case_re = re.compile(_RSP_CASE if "OUTPUT" in body else _REQ_CASE)
+    # the text around the cases alternates with their fields: all empty iff the cases tile
+    pieces, step = case_re.split(body), case_re.groups + 1
+    if any(pieces[::step]) or pieces[1::step] != list(map(str, range(len(pieces) // step))):
+        return None
+    header = [line[1:].strip() for line in text[: head.start(1) - 1].split("\n") if line]
+    try:
+        config = extractor_config or _config_from_header(header)
+        if len(pieces) == 1 or config is None:  # no cases; or cases but no configuration
+            return TestVectorFile(header, head[1], [], config) if len(pieces) == 1 else None
+        xs = _unhex_rows(pieces[2::step], config.input_length)
+        # the seed length is read only once the inputs have matched the declared length
+        ys = _unhex_rows(pieces[3::step], config.seed_length)
+        outputs = _unhex_rows(pieces[4::step], config.output_length) if step == 5 else None
+    except PrivampError:
+        return None
+    return TestVectorFile(header, head[1], extractor_config=config, columns=(xs, ys, outputs))
+
+
+def _decode_field(raw: dict, name: str, length: int) -> BitString:
+    value, line_no = raw[name]
+    try:
+        return hex_decode(value, length)
+    except LengthMismatch as exc:
+        raise LengthInconsistency(f"{name}: {exc}", line=line_no) from None
+    except PrivampError as exc:
+        raise ParseError(f"{name}: {exc}", line=line_no) from None
+
+
+def _parse_lines(text: str, extractor_config: VectorConfig | None) -> TestVectorFile:
+    """The file of ``text``, read line by line: raises for its first bad line or field."""
+    header, raw_cases, section, current = [], [], None, None  # a raw case: name -> (value, line)
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -329,10 +326,9 @@ def parse_vector_file(text: str, extractor_config: VectorConfig | None = None) -
             raise ParseError(f"field {name} before any [section]", line=line_no)
         if name == "COUNT":
             try:
-                count = int(value)
+                current = {"COUNT": (int(value), line_no)}
             except ValueError:
                 raise ParseError(f"invalid COUNT value {value!r}", line=line_no) from None
-            current = {"COUNT": (count, line_no)}
             raw_cases.append(current)
         elif name in ("INPUT", "SEED", "OUTPUT"):
             if current is None:
@@ -342,20 +338,25 @@ def parse_vector_file(text: str, extractor_config: VectorConfig | None = None) -
             current[name] = (value, line_no)
         else:
             raise ParseError(f"unknown field {name!r}", line=line_no)
-
     if section is None:
         raise ParseError("no [section] marker found", line=len(text.splitlines()) or 1)
-
     config = extractor_config or _config_from_header(header)
     if raw_cases and config is None:
         raise ParseError("extractor configuration not found in header")
-
     cases = []
-    for lo in range(0, len(raw_cases), _CHUNK):
-        chunk = raw_cases[lo : lo + _CHUNK]
-        decoded = _decode_columns(chunk, lo, config)
-        cases += _decode_cases(chunk, lo, config) if decoded is None else decoded
-    return TestVectorFile(header=header, section=section, cases=cases, extractor_config=config)
+    for expected, raw in enumerate(raw_cases):
+        count, count_line = raw["COUNT"]
+        if count != expected:
+            raise ParseError(f"COUNT {count} out of order (expected {expected})", line=count_line)
+        for required in ("INPUT", "SEED"):
+            if required not in raw:
+                raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
+        x = _decode_field(raw, "INPUT", config.input_length)
+        # the seed length is read only once an INPUT has matched the declared length
+        y = _decode_field(raw, "SEED", config.seed_length)
+        out = _decode_field(raw, "OUTPUT", config.output_length) if "OUTPUT" in raw else None
+        cases.append(Case(count, x, y, out))
+    return TestVectorFile(header, section, cases, config)
 
 
 @dataclass
@@ -370,28 +371,24 @@ class VectorVerification:
         return not self.failed_counts
 
     def summary(self) -> str:
-        state = "PASS" if self.passed else "FAIL"
-        line = f"{state}: {self.total - len(self.failed_counts)}/{self.total} vectors verified"
-        if self.failed_counts:
-            line += f"; failing COUNTs: {', '.join(map(str, self.failed_counts))}"
-        return line
+        failed, total = self.failed_counts, self.total
+        line = f"{'FAIL' if failed else 'PASS'}: {total - len(failed)}/{total} vectors verified"
+        return line + (f"; failing COUNTs: {_first_counts(failed)}" if failed else "")
+
+
+def _first_counts(counts: list) -> str:
+    """The first ten of ``counts``, and how many there are in all if more."""
+    shown = ", ".join(map(str, counts[:10]))
+    return shown if len(counts) <= 10 else f"{shown}, … ({len(counts)} in all)"
 
 
 def verify_response_file(ext: SeededExtractor, file: TestVectorFile) -> VectorVerification:
     """Recompute every case of a response file with the reference extractor."""
-    missing = [c.count for c in file.cases if c.output is None]
+    missing = [file.counts[i] for i in np.flatnonzero(~file.has_output)]
     if missing:
-        raise MissingOutputs(f"COUNT(s) {missing} have no OUTPUT (request file?)")
-    verification = VectorVerification(total=len(file.cases))
-    widths = (ext.input_length, ext.seed_length, ext.output_length)
-    for lo in range(0, len(file.cases), _CHUNK):
-        chunk = file.cases[lo : lo + _CHUNK]
-        xs, ys, outs = (
-            _rows([getattr(c, f) for c in chunk], w) for f, w in zip(("input", "seed", "output"), widths)
-        )
-        if xs is None or ys is None or outs is None:  # a hand-built file: as extract checks one case
-            wrong = [ext.extract(c.input, c.seed) != c.output for c in chunk]
-        else:
-            wrong = (ext.extract_many(xs, ys) != outs).any(axis=1)
-        verification.failed_counts += [c.count for c, bad in zip(chunk, wrong) if bad]
-    return verification
+        raise MissingOutputs(f"COUNT(s) {_first_counts(missing)} have no OUTPUT (request file?)")
+    hashed = _hash_rows(ext, file.inputs, file.seeds)
+    wrong = np.ones(len(hashed), dtype=bool)  # outputs of another width than ext's all fail
+    if hashed.shape == np.shape(file.outputs):
+        wrong = (hashed != file.outputs).any(axis=1)
+    return VectorVerification(len(hashed), [file.counts[i] for i in np.flatnonzero(wrong)])

@@ -426,13 +426,18 @@ def test_generate_and_verify_hash_through_the_class_extract(monkeypatch):
 
 
 def test_verify_reports_wrong_outputs_in_every_chunk():
+    from privamp.testvectors import TestVectorFile
+
     ext = ToeplitzExtractor(13, 5)
-    text = generate_test_vectors(ext, count=2100, rng_seed=3).render()
-    file = parse_vector_file(text)
+    file = parse_vector_file(generate_test_vectors(ext, count=2100, rng_seed=3).render())
+    outputs = file.outputs.copy()  # the columns are read-only: tamper with a copy
     for count in (5, 511, 512, 1023, 1024, 2099):
-        case = file.cases[count]
-        case.output = BitString(case.output.bits ^ np.eye(5, dtype=np.uint8)[count % 5])
-    assert verify_response_file(ext, file).failed_counts == [5, 511, 512, 1023, 1024, 2099]
+        outputs[count, count % 5] ^= 1
+    tampered = TestVectorFile(
+        file.header, file.section, extractor_config=file.extractor_config,
+        columns=(file.inputs, file.seeds, outputs),
+    )
+    assert verify_response_file(ext, tampered).failed_counts == [5, 511, 512, 1023, 1024, 2099]
 
 
 def oracle_parse(text, extractor_config=None):
@@ -599,3 +604,114 @@ def test_seed_length_is_read_after_the_first_input_matches():
         parse_vector_file(bad)
     for case_text in (text, bad):
         assert_parse_parity(case_text)
+
+
+# -- the strict pass and its fallback ---------------------------------------------
+
+
+@pytest.fixture
+def line_parser_calls(monkeypatch):
+    """The texts handed to the line parser while the test runs."""
+    from privamp import testvectors
+
+    calls = []
+    original = testvectors._parse_lines
+
+    def counting(text, extractor_config):
+        calls.append(text)
+        return original(text, extractor_config)
+
+    monkeypatch.setattr(testvectors, "_parse_lines", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["req", "rsp"])
+@pytest.mark.parametrize("ext", extractors_under_test(), ids=lambda e: e.vector_name)
+def test_rendered_files_parse_in_the_strict_pass(line_parser_calls, ext, kind):
+    text = generate_test_vectors(ext, count=600, rng_seed=4, kind=kind).render()
+    assert parse_vector_file(text) == oracle_parse(text)
+    assert line_parser_calls == []
+
+
+def test_golden_file_parses_in_the_strict_pass(line_parser_calls, golden_rsp_text):
+    assert parse_vector_file(golden_rsp_text) == oracle_parse(golden_rsp_text)
+    assert line_parser_calls == []
+
+
+NON_CANONICAL_EDITS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comment-between-cases": lambda text: text.replace("\nCOUNT = 3\n", "# a comment\n\nCOUNT = 3\n"),
+    "uppercase-hex": lambda text: edit_case(text, 2, "INPUT", str.upper),
+}
+
+
+@pytest.mark.parametrize("kind", ["req", "rsp"])
+@pytest.mark.parametrize("edit", sorted(NON_CANONICAL_EDITS))
+def test_other_layouts_take_the_line_parser_once(line_parser_calls, edit, kind):
+    ext = ModifiedToeplitzExtractor(13, 5)
+    rendered = generate_test_vectors(ext, count=600, rng_seed=6, kind=kind).render()
+    text = NON_CANONICAL_EDITS[edit](rendered)
+    assert text != rendered
+    parsed = parse_vector_file(text)
+    assert line_parser_calls == [text]
+    assert parsed == oracle_parse(text)
+    assert parsed.cases == parse_vector_file(rendered).cases
+
+
+# -- bounded lists of COUNTs ------------------------------------------------------
+
+
+def test_missing_outputs_names_the_first_ten_counts_and_the_total(tmp_path, capsys):
+    from privamp.cli import main
+
+    path = tmp_path / "big.req"
+    ext = ModifiedToeplitzExtractor(128, 64)
+    path.write_text(generate_test_vectors(ext, count=10**4, rng_seed=7, kind="req").render())
+    assert main(["vectors", "verify", str(path)]) == MissingOutputs.exit_code
+    assert capsys.readouterr().err == (
+        "error: COUNT(s) 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, … (10000 in all) have no OUTPUT (request file?)\n"
+    )
+    few = parse_vector_file(edit_case(edit_case(_MANY_CHUNKS, 3, "OUTPUT", None), 1099, "OUTPUT", None))
+    with pytest.raises(MissingOutputs, match=r"^COUNT\(s\) 3, 1099 have no OUTPUT"):
+        verify_response_file(few.extractor_config.extractor, few)
+
+
+def test_fail_summary_names_the_first_ten_counts_and_keeps_them_all():
+    from privamp.testvectors import TestVectorFile
+
+    ext = ToeplitzExtractor(13, 5)
+    file = generate_test_vectors(ext, count=1100, rng_seed=3)
+    for wrong in (list(range(1100)), list(range(0, 1100, 110))):
+        outputs = file.outputs.copy()
+        outputs[wrong, 0] ^= 1
+        tampered = TestVectorFile(
+            file.header, file.section, extractor_config=file.extractor_config,
+            columns=(file.inputs, file.seeds, outputs),
+        )
+        verification = verify_response_file(ext, tampered)
+        assert verification.failed_counts == wrong
+        shown = ", ".join(map(str, wrong[:10]))
+        more = ", … (1100 in all)" if len(wrong) > 10 else ""
+        assert verification.summary() == (
+            f"FAIL: {1100 - len(wrong)}/1100 vectors verified; failing COUNTs: {shown}{more}"
+        )
+
+
+# -- the column model -----------------------------------------------------------
+
+
+def test_partial_outputs_round_trip_with_a_mask():
+    text = edit_case(_MANY_CHUNKS, 700, "OUTPUT", None)
+    file = parse_vector_file(text)
+    assert file.kind == "req"
+    assert file.render() == text and file == oracle_parse(text)
+    assert file.cases[700].output is None and file.cases[701].output is not None
+
+
+def test_cases_of_different_widths_cannot_make_a_file():
+    from privamp.exceptions import LengthMismatch
+    from privamp.testvectors import Case, TestVectorFile
+
+    cases = [Case(0, BitString("0101"), BitString("11")), Case(1, BitString("010"), BitString("11"))]
+    with pytest.raises(LengthMismatch):
+        TestVectorFile(["CAVS"], "EXTRACT", cases)

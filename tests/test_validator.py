@@ -279,6 +279,18 @@ def test_random_mode_reproducible(thirdparty_bin):
     assert r1.rng_seed == 7
 
 
+@pytest.mark.parametrize("ext", [ToeplitzExtractor(13, 5), ModifiedToeplitzExtractor(128, 64)])
+@pytest.mark.parametrize("rng_seed", [0, 7, 2025, 2**80 + 1])
+def test_random_case_is_n_then_d_bits_of_its_own_stream(ext, rng_seed):
+    # case i draws n bits, then d bits, from the generator of SeedSequence(rng_seed, spawn_key=(i,))
+    validator = Validator(ext)
+    for index in (0, 1, 2, 511, 1024, 10**6):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(index,)))
+        x = rng.integers(0, 2, size=ext.input_length, dtype=np.uint8)
+        y = rng.integers(0, 2, size=ext.seed_length, dtype=np.uint8)
+        assert validator._case("random", index, rng_seed) == (BitString(x), BitString(y))
+
+
 def test_crashed_cases_recorded_not_fatal():
     validator = Validator(ToeplitzExtractor(2, 1))
     validator.add_implementation(
