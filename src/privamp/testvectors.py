@@ -23,15 +23,13 @@ Extractor-specific parameters (e.g. the Trevisan one-bit seed length)
 travel as additional "# Key : value" header comments.
 
 A file is held as read-only 0/1 uint8 columns of (c, n) inputs, (c, d)
-seeds and (c, m) outputs, so a file whose cases differ in width cannot
-be built.  Generation and verification hash 512 cases per
-``extract_many`` call.
-Parsing first tiles the text with cases laid out exactly as rendered,
-by one regular expression, and decodes each column at once; any other
-text (comments between cases, blank lines, CRLF, uppercase hex, a bad
-field) goes to the line parser, the one place that raises: tolerant of
-comment lines and blank-line spacing, strict on field names, '='
-separators and hex validity.
+seeds and (c, m) outputs, so its cases all have one width per field;
+512 cases are hashed per ``extract_many`` call.  Parsing tiles text laid
+out as rendered (CRLF endings and uppercase hex too) with one regular
+expression; any other text goes to the line parser, tolerant of comment
+lines and blank-line spacing, strict on field names, '=' separators and
+hex validity.  Both decode each column at once; the line parser goes
+field by field, in file order, only to raise for the first bad one.
 """
 
 from __future__ import annotations
@@ -69,8 +67,8 @@ _HEADER_KV_RE = re.compile(r"^#\s*([^:]+?)\s*:\s*(.+?)\s*$")
 # the strict pass, compiled on first use: comment lines (with none of the other
 # breaks that str.splitlines splits at) and blank lines, the section line, the cases
 _HEAD = r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n|\n)*\[(\w+)\]\n"
-_REQ_CASE = r"\nCOUNT = (\d+)\nINPUT = ([0-9a-f]*)\nSEED = ([0-9a-f]*)\n"
-_RSP_CASE = _REQ_CASE + r"OUTPUT = ([0-9a-f]*)\n"
+_REQ_CASE = r"\nCOUNT = (\d+)\nINPUT = ([0-9a-fA-F]*)\nSEED = ([0-9a-fA-F]*)\n"
+_RSP_CASE = _REQ_CASE + r"OUTPUT = ([0-9a-fA-F]*)\n"
 
 #: vector_name -> (SeededExtractor.create kind, {header parameter: create keyword})
 _KINDS = {
@@ -137,10 +135,12 @@ class TestVectorFile:
     ``outputs`` holds the OUTPUT rows, in order, of the cases that
     ``has_output`` marks, and is None if no case carries one.  A file is
     built from a list of :class:`Case`, stacked once, or from
-    ``columns=(inputs, seeds, outputs)`` numbered 0, 1, ...
+    ``columns=(inputs, seeds, outputs)`` numbered 0, 1, ..., where every
+    case carries an OUTPUT unless ``has_output`` says which do.
     """
 
-    def __init__(self, header, section, cases=(), extractor_config=None, *, columns=None):
+    def __init__(self, header, section, cases=(), extractor_config=None, *, columns=None,
+                 has_output=None):
         self.header = header  # comment lines, without the leading "# "
         self.section, self.extractor_config = section, extractor_config
         if columns is None:  # the cases, stacked once
@@ -151,7 +151,8 @@ class TestVectorFile:
                        _stack(outputs) if outputs else None)
         else:
             self.counts = range(len(columns[0]))
-            self.has_output = np.full(len(columns[0]), columns[2] is not None)
+            every = np.full(len(columns[0]), columns[2] is not None)
+            self.has_output = every if has_output is None else has_output
         self.inputs, self.seeds, self.outputs = columns
 
     def __eq__(self, other) -> bool:
@@ -262,16 +263,18 @@ def parse_vector_file(text: str, extractor_config: VectorConfig | None = None) -
     given, otherwise recovered from the header comments; it is required
     as soon as the file contains cases, because bit lengths (and hence
     hex padding) cannot be checked without it.  Text laid out as
-    :meth:`TestVectorFile.render` writes it is read in one strict pass;
-    any other text, and every error, goes to the line parser.
+    :meth:`TestVectorFile.render` writes it, with "\n" or "\r\n" line
+    endings and hex of either case, is read in one strict pass; any other
+    text, and every error, goes to the line parser.
     """
-    return _parse_strict(text, extractor_config) or _parse_lines(text, extractor_config)
+    # "\r\n" ends one line for the line parser too (str.splitlines)
+    strict = text.replace("\r\n", "\n") if "\r" in text else text
+    return _parse_strict(strict, extractor_config) or _parse_lines(text, extractor_config)
 
 
 def _parse_strict(text: str, extractor_config: VectorConfig | None) -> TestVectorFile | None:
-    """The file of ``text`` if it is laid out exactly as rendered and valid; None otherwise."""
-    head = re.match(_HEAD, text)
-    if head is None:
+    """The file of ``text`` if it is laid out as rendered and valid; None otherwise."""
+    if (head := re.match(_HEAD, text)) is None:
         return None
     body = text[head.end() :]
     case_re = re.compile(_RSP_CASE if "OUTPUT" in body else _REQ_CASE)
@@ -282,25 +285,24 @@ def _parse_strict(text: str, extractor_config: VectorConfig | None) -> TestVecto
     header = [line[1:].strip() for line in text[: head.start(1) - 1].split("\n") if line]
     try:
         config = extractor_config or _config_from_header(header)
-        if len(pieces) == 1 or config is None:  # no cases; or cases but no configuration
-            return TestVectorFile(header, head[1], [], config) if len(pieces) == 1 else None
-        xs = _unhex_rows(pieces[2::step], config.input_length)
-        # the seed length is read only once the inputs have matched the declared length
-        ys = _unhex_rows(pieces[3::step], config.seed_length)
-        outputs = _unhex_rows(pieces[4::step], config.output_length) if step == 5 else None
+        if config is None and len(pieces) > 1:  # cases but no configuration
+            return None
+        outputs = pieces[4::step] if step == 5 else []
+        return _file_from_hex(header, head[1], config, pieces[2::step], pieces[3::step], outputs)
     except PrivampError:
         return None
-    return TestVectorFile(header, head[1], extractor_config=config, columns=(xs, ys, outputs))
 
 
-def _decode_field(raw: dict, name: str, length: int) -> BitString:
-    value, line_no = raw[name]
-    try:
-        return hex_decode(value, length)
-    except LengthMismatch as exc:
-        raise LengthInconsistency(f"{name}: {exc}", line=line_no) from None
-    except PrivampError as exc:
-        raise ParseError(f"{name}: {exc}", line=line_no) from None
+def _file_from_hex(header, section, config, inputs, seeds, outputs, has_output=None):
+    """The file of the hex columns ``inputs``, ``seeds`` and ``outputs``, one decode each."""
+    if not inputs:
+        return TestVectorFile(header, section, [], config)
+    xs = _unhex_rows(inputs, config.input_length)
+    # the seed length is read only once the inputs have matched the declared length
+    ys = _unhex_rows(seeds, config.seed_length)
+    outputs = _unhex_rows(outputs, config.output_length) if outputs else None
+    return TestVectorFile(header, section, extractor_config=config, columns=(xs, ys, outputs),
+                          has_output=has_output)
 
 
 def _parse_lines(text: str, extractor_config: VectorConfig | None) -> TestVectorFile:
@@ -343,20 +345,42 @@ def _parse_lines(text: str, extractor_config: VectorConfig | None) -> TestVector
     config = extractor_config or _config_from_header(header)
     if raw_cases and config is None:
         raise ParseError("extractor configuration not found in header")
-    cases = []
-    for expected, raw in enumerate(raw_cases):
-        count, count_line = raw["COUNT"]
-        if count != expected:
-            raise ParseError(f"COUNT {count} out of order (expected {expected})", line=count_line)
-        for required in ("INPUT", "SEED"):
-            if required not in raw:
-                raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
-        x = _decode_field(raw, "INPUT", config.input_length)
-        # the seed length is read only once an INPUT has matched the declared length
-        y = _decode_field(raw, "SEED", config.seed_length)
-        out = _decode_field(raw, "OUTPUT", config.output_length) if "OUTPUT" in raw else None
-        cases.append(Case(count, x, y, out))
-    return TestVectorFile(header, section, cases, config)
+    if (file := _decoded(header, section, config, raw_cases)) is not None:
+        return file
+    for lo in range(0, len(raw_cases), _CHUNK):  # field by field only in the first chunk that fails
+        chunk = raw_cases[lo : lo + _CHUNK]
+        if _decoded(header, section, config, chunk, lo) is not None:
+            continue
+        for expected, raw in enumerate(chunk, start=lo):
+            count, count_line = raw["COUNT"]
+            if count != expected:
+                raise ParseError(f"COUNT {count} out of order (expected {expected})", line=count_line)
+            for required in ("INPUT", "SEED"):
+                if required not in raw:
+                    raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
+            for name in [name for name in ("INPUT", "SEED", "OUTPUT") if name in raw]:
+                # the seed length is read only once an INPUT has matched the declared length
+                (value, line_no), length = raw[name], getattr(config, f"{name.lower()}_length")
+                try:
+                    hex_decode(value, length)
+                except LengthMismatch as exc:
+                    raise LengthInconsistency(f"{name}: {exc}", line=line_no) from None
+                except PrivampError as exc:
+                    raise ParseError(f"{name}: {exc}", line=line_no) from None
+    raise AssertionError("a column failed to decode but none of its fields did")
+
+
+def _decoded(header, section, config, raw_cases: list, lo: int = 0) -> TestVectorFile | None:
+    """The file of ``raw_cases`` (COUNT ``lo`` on), one decode per column; None if any is bad."""
+    if any(r["COUNT"][0] != i or "INPUT" not in r or "SEED" not in r
+           for i, r in enumerate(raw_cases, start=lo)):
+        return None
+    columns = [[r[name][0] for r in raw_cases if name in r] for name in ("INPUT", "SEED", "OUTPUT")]
+    has_output = np.array(["OUTPUT" in r for r in raw_cases], dtype=bool)
+    try:
+        return _file_from_hex(header, section, config, *columns, has_output)
+    except PrivampError:
+        return None
 
 
 @dataclass
@@ -388,7 +412,6 @@ def verify_response_file(ext: SeededExtractor, file: TestVectorFile) -> VectorVe
     if missing:
         raise MissingOutputs(f"COUNT(s) {_first_counts(missing)} have no OUTPUT (request file?)")
     hashed = _hash_rows(ext, file.inputs, file.seeds)
-    wrong = np.ones(len(hashed), dtype=bool)  # outputs of another width than ext's all fail
-    if hashed.shape == np.shape(file.outputs):
-        wrong = (hashed != file.outputs).any(axis=1)
+    same_width = hashed.shape == np.shape(file.outputs)  # outputs of another width all fail
+    wrong = (hashed != file.outputs).any(axis=1) if same_width else np.ones(len(hashed), bool)
     return VectorVerification(len(hashed), [file.counts[i] for i in np.flatnonzero(wrong)])

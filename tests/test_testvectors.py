@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -638,24 +640,72 @@ def test_golden_file_parses_in_the_strict_pass(line_parser_calls, golden_rsp_tex
     assert line_parser_calls == []
 
 
-NON_CANONICAL_EDITS = {
+STRICT_LAYOUTS = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
-    "comment-between-cases": lambda text: text.replace("\nCOUNT = 3\n", "# a comment\n\nCOUNT = 3\n"),
     "uppercase-hex": lambda text: edit_case(text, 2, "INPUT", str.upper),
+    "all-uppercase-hex-crlf": lambda text: re.sub(
+        r" = [0-9a-f]+\n", lambda m: m[0].upper(), text).replace("\n", "\r\n"),
 }
 
 
 @pytest.mark.parametrize("kind", ["req", "rsp"])
-@pytest.mark.parametrize("edit", sorted(NON_CANONICAL_EDITS))
-def test_other_layouts_take_the_line_parser_once(line_parser_calls, edit, kind):
+@pytest.mark.parametrize("edit", sorted(STRICT_LAYOUTS))
+def test_crlf_and_uppercase_hex_parse_in_the_strict_pass(line_parser_calls, edit, kind):
     ext = ModifiedToeplitzExtractor(13, 5)
     rendered = generate_test_vectors(ext, count=600, rng_seed=6, kind=kind).render()
-    text = NON_CANONICAL_EDITS[edit](rendered)
+    text = STRICT_LAYOUTS[edit](rendered)
+    assert text != rendered
+    parsed = parse_vector_file(text)
+    assert line_parser_calls == []
+    assert parsed == oracle_parse(text)
+    assert parsed.cases == parse_vector_file(rendered).cases
+
+
+OTHER_LAYOUTS = {
+    "comment-between-cases": lambda text: text.replace("\nCOUNT = 3\n", "# a comment\n\nCOUNT = 3\n"),
+    "extra-blank-lines": lambda text: text.replace("\nCOUNT = 500\n", "\n\n\nCOUNT = 500\n"),
+    "other-spacing": lambda text: text.replace("SEED = ", "SEED=").replace("\n", "  \n"),
+}
+
+
+@pytest.mark.parametrize("kind", ["req", "rsp"])
+@pytest.mark.parametrize("edit", sorted(OTHER_LAYOUTS))
+def test_other_layouts_take_the_line_parser_once(line_parser_calls, monkeypatch, edit, kind):
+    from privamp import testvectors
+
+    # a valid file is decoded a column at a time, never field by field
+    monkeypatch.setattr(testvectors, "hex_decode", None)
+    ext = ModifiedToeplitzExtractor(13, 5)
+    rendered = generate_test_vectors(ext, count=600, rng_seed=6, kind=kind).render()
+    text = OTHER_LAYOUTS[edit](rendered)
     assert text != rendered
     parsed = parse_vector_file(text)
     assert line_parser_calls == [text]
     assert parsed == oracle_parse(text)
     assert parsed.cases == parse_vector_file(rendered).cases
+
+
+@pytest.mark.parametrize("count", [3, 1099])
+def test_a_bad_field_is_sought_field_by_field_in_one_chunk_only(monkeypatch, count):
+    from privamp import testvectors
+    from privamp.bits import hex_decode
+
+    decoded = []
+
+    def counting(value, length):
+        decoded.append(value)
+        return hex_decode(value, length)
+
+    # a comment between cases keeps the text out of the strict pass
+    text = edit_case(_MANY_CHUNKS.replace("\nCOUNT = 1\n", "# c\n\nCOUNT = 1\n"), count, "SEED",
+                     lambda v: v[:-1] + "g")
+    monkeypatch.setattr(testvectors, "hex_decode", counting)
+    with pytest.raises(ParseError) as raised:
+        parse_vector_file(text)
+    with pytest.raises(ParseError) as expected:
+        oracle_parse(text)
+    assert (str(raised.value), raised.value.line) == (str(expected.value), expected.value.line)
+    assert len(decoded) == 3 * (count % 512) + 2
 
 
 # -- bounded lists of COUNTs ------------------------------------------------------
