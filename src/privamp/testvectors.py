@@ -29,7 +29,8 @@ out as rendered (CRLF endings and uppercase hex too) with one regular
 expression; any other text goes to the line parser, tolerant of comment
 lines and blank-line spacing, strict on field names, '=' separators and
 hex validity.  Both decode each column at once; the line parser goes
-field by field, in file order, only to raise for the first bad one.
+field by field only in the first 512-case chunk whose columns fail, to
+raise for its first bad line or field.
 """
 
 from __future__ import annotations
@@ -310,20 +311,20 @@ def _parse_lines(text: str, extractor_config: VectorConfig | None) -> TestVector
     header, raw_cases, section, current = [], [], None, None  # a raw case: name -> (value, line)
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            header.append(stripped[1:].strip())
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            if section is not None:
-                raise ParseError("multiple sections are not supported", line=line_no)
-            section = stripped[1:-1]
-            continue
-        match = _FIELD_RE.match(stripped)
-        if not match:
+        match = _FIELD_RE.match(stripped)  # a field line starts with a word character
+        if match is None:
+            if not stripped:
+                continue
+            if stripped[0] == "#":
+                header.append(stripped[1:].strip())
+                continue
+            if stripped[0] == "[" and stripped[-1] == "]":
+                if section is not None:
+                    raise ParseError("multiple sections are not supported", line=line_no)
+                section = stripped[1:-1]
+                continue
             raise ParseError(f"unrecognized line {stripped!r}", line=line_no)
-        name, value = match.group(1), match.group(2)
+        name, value = match.groups()
         if section is None:
             raise ParseError(f"field {name} before any [section]", line=line_no)
         if name == "COUNT":
@@ -412,6 +413,7 @@ def verify_response_file(ext: SeededExtractor, file: TestVectorFile) -> VectorVe
     if missing:
         raise MissingOutputs(f"COUNT(s) {_first_counts(missing)} have no OUTPUT (request file?)")
     hashed = _hash_rows(ext, file.inputs, file.seeds)
-    same_width = hashed.shape == np.shape(file.outputs)  # outputs of another width all fail
-    wrong = (hashed != file.outputs).any(axis=1) if same_width else np.ones(len(hashed), bool)
+    wrong = np.ones(len(hashed), dtype=bool)  # outputs of another width than ext's all fail
+    if hashed.shape == np.shape(file.outputs):
+        wrong = (hashed != file.outputs).any(axis=1)
     return VectorVerification(len(hashed), [file.counts[i] for i in np.flatnonzero(wrong)])
