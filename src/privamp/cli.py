@@ -67,9 +67,10 @@ def _build_extractor(args) -> SeededExtractor:
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of the file ``path``, without a leading byte order mark."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not {exc.encoding} text ({exc.reason} at byte {exc.start})") from None
 

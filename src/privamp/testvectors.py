@@ -24,7 +24,7 @@ travel as additional "# Key : value" header comments.
 
 A file is held as read-only 0/1 uint8 columns of (c, n) inputs, (c, d)
 seeds and (c, m) outputs, so its cases all have one width per field;
-512 cases are hashed per ``extract_many`` call.  Parsing tiles text laid
+a column is hashed by one ``extract_many`` call.  Parsing tiles text laid
 out as rendered (CRLF endings and uppercase hex too) with one regular
 expression; any other text goes to the line parser, tolerant of comment
 lines and blank-line spacing, strict on field names, '=' separators and
@@ -59,8 +59,8 @@ SECTION = "EXTRACT"
 #: Timestamp line used when generation is deterministic (fixed rng seed).
 DETERMINISTIC_TIMESTAMP = "Thu Jan  1 00:00:00 1970"
 
-#: Cases hashed together: 1024 would hold the spectra of twice as many
-#: cases at once, and raise peak RSS by ~1 MiB
+#: Cases per step of the line parser's search for a bad field: it decodes
+#: field by field only in the first chunk whose columns fail
 _CHUNK = 512
 
 _FIELD_RE = re.compile(r"^(\w+)\s*=\s*(\S*)\s*$")
@@ -183,15 +183,6 @@ class TestVectorFile:
         return head + "".join(f"\nCOUNT = {k}\nINPUT = {x}\nSEED = {y}\n{t}" for k, x, y, t in rows)
 
 
-def _hash_rows(ext: SeededExtractor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``ext.extract_many(xs, ys)`` as one read-only array, hashed 512 rows at a time."""
-    rows = np.empty((len(xs), ext.output_length), dtype=np.uint8)
-    for lo in range(0, len(xs), _CHUNK):
-        rows[lo : lo + _CHUNK] = ext.extract_many(xs[lo : lo + _CHUNK], ys[lo : lo + _CHUNK])
-    rows.setflags(write=False)
-    return rows
-
-
 def generate_test_vectors(
     ext: SeededExtractor, count: int, rng_seed: int | None = None, kind: str = "rsp"
 ) -> TestVectorFile:
@@ -206,6 +197,8 @@ def generate_test_vectors(
         raise InvalidRange("count must be >= 1")
     if kind not in ("req", "rsp"):
         raise InvalidRange(f"kind must be req or rsp, got {kind!r}")
+    if rng_seed is not None and rng_seed < 0:
+        raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
     n, d = ext.input_length, ext.seed_length
     # parameter values live in text headers, so they are carried as strings
     params = tuple((k, str(v)) for k, v in ext.header_params().items())
@@ -217,7 +210,7 @@ def generate_test_vectors(
     draw = np.random.default_rng(rng_seed).integers(0, 2, size=(count, wn + wd), dtype=np.uint8)
     draw.setflags(write=False)
     xs, ys = draw[:, :n], draw[:, wn : wn + d]
-    outputs = _hash_rows(ext, xs, ys) if kind == "rsp" else None
+    outputs = ext.extract_many(xs, ys) if kind == "rsp" else None
     ratio = Fraction(ext.output_length, ext.input_length)
     stamp = DETERMINISTIC_TIMESTAMP if rng_seed is not None else time.asctime()
     header = ["CAVS", ext.vector_name, f"Input Length : {n}"]
@@ -227,28 +220,34 @@ def generate_test_vectors(
 
 
 def _config_from_header(header: list) -> VectorConfig | None:
-    name = next((h.strip() for h in header if h.strip() in _KINDS), None)
-    n = m = ratio = None
-    params = []
+    names = list(dict.fromkeys(h.strip() for h in header if h.strip() in _KINDS))
+    if len(names) > 1:
+        raise ParseError(f"header names both {names[0]} and {names[1]}")
+    name = names[0] if names else None
+    values, params = {}, []  # key -> its value, parsed; a key may repeat only with that value
     for h in header:
         kv = _HEADER_KV_RE.match(f"# {h}")
         if not kv or h.strip().startswith("Generated on"):
             continue
         key, value = kv.group(1), kv.group(2)
         try:
-            if key == "Input Length":
-                n = int(value)
+            if key in ("Input Length", "Output Length"):
+                parsed = int(value)
             elif key == "Compression ratio":
                 num, _, den = value.partition("/")
-                ratio = Fraction(int(num), int(den))
-            elif key == "Output Length":
-                m = int(value)
+                parsed = Fraction(int(num), int(den))
             else:
+                parsed = value
                 params.append((key, value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"invalid header value for {key!r}: {value!r} ({exc})") from None
+        if values.setdefault(key, parsed) != parsed:
+            raise ParseError(f"header {key!r} is given as both {values[key]} and {parsed}")
+    n, m, ratio = map(values.get, ("Input Length", "Output Length", "Compression ratio"))
     if name is None or n is None or (m is None and ratio is None):
         return None
+    if m is not None and ratio is not None and m != n * ratio:
+        raise ParseError(f"Output Length {m} is not the compression ratio {ratio} of {n} bits")
     if m is None:
         exact = n * ratio
         if exact.denominator != 1:
@@ -412,7 +411,9 @@ def verify_response_file(ext: SeededExtractor, file: TestVectorFile) -> VectorVe
     missing = [file.counts[i] for i in np.flatnonzero(~file.has_output)]
     if missing:
         raise MissingOutputs(f"COUNT(s) {_first_counts(missing)} have no OUTPUT (request file?)")
-    hashed = _hash_rows(ext, file.inputs, file.seeds)
+    if not file.counts:  # no columns to hash: an empty file's are (0, 0)
+        return VectorVerification(0)
+    hashed = ext.extract_many(file.inputs, file.seeds)
     wrong = np.ones(len(hashed), dtype=bool)  # outputs of another width than ext's all fail
     if hashed.shape == np.shape(file.outputs):
         wrong = (hashed != file.outputs).any(axis=1)

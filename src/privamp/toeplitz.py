@@ -46,11 +46,12 @@ Many cases: ``extract`` also takes a leading batch axis, (c, n) inputs
 and (c, q) seeds giving a (c, m) array.  While m and k fit in a block,
 the c rows share one transform along the last axis; otherwise, and for
 "exact" and "matrix", the rows are hashed one at a time.
-``extract_many`` hands ``extract`` blocks of max(1, 2^18 //
-next_pow2(q)) rows (2048 at modified 128->64, 1024 at standard
-128->64), so a call transforms at most 2^18 points per operand; a shape
-whose transform alone has 2^18 points, every partitioned one among
-them, goes in blocks of one row.
+``extract_many`` hands ``extract`` blocks of max(1, 2^16 // next_pow2(q))
+rows (512 at modified 128->64, 256 at standard 128->64), so a call
+transforms at most 2^16 points per operand; a shape whose transform
+alone has 2^16 points, every partitioned one among them, goes in blocks
+of one row.  This is the package's one batch size: test vectors hash
+whole columns through ``extract_many``, the validator 1024 cases a call.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ _PRECISION_BITS = 120
 # Partitioned-FFT block, in bits: of 2^16..2^18 the fastest at n = 2^21, 2^22 on a 2-vCPU Xeon
 _BLOCK = 1 << 17
 
-# Transform points per operand in one extract call of extract_many
-_BATCH_POINTS = 1 << 18
+# Transform points per operand in one extract call of extract_many: per case no slower than
+# 2^17 or 2^18 on a 2-vCPU Xeon, 128->64 to 4096->2048, and 2^17 raises peak RSS ~1 MiB
+_BATCH_POINTS = 1 << 16
 
 
 def calculate_length(
@@ -249,10 +251,7 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         return out
 
     def extract_many(self, xs, ys) -> np.ndarray:
-        """:meth:`SeededExtractor.extract_many` by one ``extract`` call per block of rows.
-
-        Blocks hold max(1, 2^18 // next_pow2(q)) rows (module docstring).
-        """
+        """:meth:`SeededExtractor.extract_many` by one ``extract`` call per block of rows."""
         rows = max(1, _BATCH_POINTS >> max(0, self.seed_length - 1).bit_length())
         xs, ys = self._check_rows(xs, ys)
         out = np.empty((len(xs), self.output_length), dtype=np.uint8)

@@ -322,6 +322,8 @@ class Validator:
         adapter = self._resolve(label)
         if not 0 < timeout <= _MAX_TIMEOUT:
             raise InvalidRange(f"timeout must lie in (0, {_MAX_TIMEOUT}] s, got {timeout}")
+        if rng_seed is not None and rng_seed < 0:
+            raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
         n, d, m = (
             self.reference.input_length,
             self.reference.seed_length,

@@ -338,6 +338,64 @@ def test_vectors_gen_to_stdout(capsys):
     assert "OUTPUT" not in out
 
 
+@pytest.mark.parametrize("command", [
+    ["vectors", "gen", "--type", "toeplitz", "-n", "8", "-m", "4", "--count", "2"],
+    ["validate", "--type", "toeplitz", "-n", "3", "-m", "2", "--command", "{stand_in}",
+     "--mode", "random", "--samples", "4"],
+], ids=["vectors-gen", "validate"])
+def test_negative_rng_seed_exits_2(thirdparty_bin, capsys, command):
+    stand_in = thirdparty_command(thirdparty_bin, "toeplitz", 3, 2)
+    argv = [arg.format(stand_in=stand_in) for arg in command] + ["--rng-seed", "-5"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: rng_seed must be >= 0, got -5\n")
+
+
+def test_vectors_verify_file_without_cases_passes(capsys, tmp_path):
+    path = tmp_path / "empty.rsp"
+    path.write_text("# CAVS\n# ToeplitzHashing\n# Input Length : 8\n# Compression ratio: 1/2\n\n[EXTRACT]\n")
+    code, out, err = run(capsys, "vectors", "verify", str(path))
+    assert (code, out, err) == (0, "PASS: 0/0 vectors verified\n", "")
+
+
+def test_vectors_verify_golden_file_with_a_byte_order_mark(capsys, tmp_path, golden_rsp_path):
+    path = tmp_path / "bom.rsp"
+    path.write_bytes(b"\xef\xbb\xbf" + golden_rsp_path.read_bytes())
+    code, out, _ = run(capsys, "vectors", "verify", str(path))
+    assert (code, out) == (0, "PASS: 8/8 vectors verified\n")
+
+
+def test_extract_input_file_with_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "input.hex"
+    path.write_bytes(b"\xef\xbb\xbf" + GOLDEN_INPUT.encode() + b"\r\n")
+    code, out, _ = run(
+        capsys,
+        "extract", "--type", "modified-toeplitz", "-n", "128", "-m", "64",
+        "--input", f"@{path}", "--seed", GOLDEN_SEED,
+    )
+    assert (code, out) == (0, GOLDEN_OUTPUT + "\n")
+
+
+def test_non_utf8_byte_after_a_byte_order_mark_is_placed_in_the_file(capsys, tmp_path):
+    path = tmp_path / "bom.rsp"
+    path.write_bytes(b"\xef\xbb\xbf# CAVS \xff\n")
+    code, _, err = run(capsys, "vectors", "verify", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: not utf-8 text") and "at byte 10" in err
+
+
+def test_vectors_verify_non_ascii_comment_is_read_as_utf8(capsys, tmp_path, golden_rsp_text):
+    # independent of the locale's encoding
+    path = tmp_path / "comment.rsp"
+    path.write_bytes(("# Schlüssel\n" + golden_rsp_text).encode("utf-8"))
+    result = subprocess.run(
+        [sys.executable, "-m", "privamp", "vectors", "verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(privamp.__file__)),
+                 PYTHONUTF8="0", LC_ALL="C"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "PASS: 8/8 vectors verified\n"), result.stderr
+
+
 def test_validate_defaults_come_from_the_validator(capsys):
     argv = ["validate", "--type", "toeplitz", "-n", "3", "-m", "2", "--command", "c"]
     args = build_parser().parse_args(argv)

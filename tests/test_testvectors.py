@@ -124,6 +124,21 @@ def test_generate_parameter_validation():
         generate_test_vectors(ext, count=4, kind="rs")
 
 
+def test_generate_rejects_a_negative_rng_seed_before_drawing(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("bits were drawn"))
+    with pytest.raises(InvalidRange, match="rng_seed must be >= 0, got -1"):
+        generate_test_vectors(ToeplitzExtractor(8, 4), count=2, rng_seed=-1)
+
+
+@pytest.mark.parametrize("header", [
+    "# CAVS\n# ToeplitzHashing\n# Input Length : 8\n# Compression ratio: 1/2\n\n", ""
+], ids=["with-config", "without-config"])
+def test_verify_file_without_cases_passes(header):
+    file = parse_vector_file(header + "[EXTRACT]\n")
+    verification = verify_response_file(ToeplitzExtractor(8, 4), file)
+    assert verification.passed and verification.summary() == "PASS: 0/0 vectors verified"
+
+
 def test_random_files_round_trip():
     rng = np.random.default_rng(2025)
     for trial in range(100):
@@ -260,6 +275,39 @@ def test_file_without_section_rejected_at_last_line():
 def test_header_gives_output_length(line, output_length):
     file = parse_vector_file(f"# ToeplitzHashing\n# Input Length : 8\n{line}\n[EXTRACT]\n")
     assert file.extractor_config.output_length == output_length
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["# Input Length : 8", "# Compression ratio: 1/2", "# Output Length : 3", "# Input Length : 10"],
+     "'Input Length' is given as both 8 and 10"),
+    (["# Input Length : 8", "# Compression ratio: 1/2", "# Compression ratio: 3/4"],
+     "'Compression ratio' is given as both 1/2 and 3/4"),
+    (["# Input Length : 8", "# Output Length : 4", "# Output Length : 3"],
+     "'Output Length' is given as both 4 and 3"),
+    (["# Input Length : 8", "# Output Length : 4", "# Build : a", "# Build : b"],
+     "'Build' is given as both a and b"),
+    (["# Input Length : 8", "# Compression ratio: 1/2", "# Output Length : 3"],
+     "Output Length 3 is not the compression ratio 1/2 of 8 bits"),
+    (["# Input Length : 8", "# Compression ratio: 1/3", "# Output Length : 3"],
+     "Output Length 3 is not the compression ratio 1/3 of 8 bits"),
+    (["# ModifiedToeplitzHashing", "# Input Length : 8", "# Compression ratio: 1/2"],
+     "header names both ToeplitzHashing and ModifiedToeplitzHashing"),
+], ids=["input-twice", "ratio-twice", "output-twice", "parameter-twice", "output-not-ratio",
+        "output-not-integral-ratio", "two-extractors"])
+def test_contradictory_header_rejected(lines, message):
+    text = "\n".join(["# ToeplitzHashing", *lines]) + "\n\n[EXTRACT]\n"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_vector_file(text)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_vector_file(text + "\nCOUNT = 0\nINPUT = ab\nSEED = 07bc\n")
+
+
+def test_repeated_header_values_that_agree_are_accepted():
+    lines = ["ToeplitzHashing", "Input Length : 8", "Compression ratio: 1/2", "ToeplitzHashing",
+             "Input Length : 8", "Compression ratio: 2/4", "Output Length : 4", "Output Length : 4"]
+    text = "".join(f"# {line}\n" for line in lines) + "\n[EXTRACT]\n"
+    config = parse_vector_file(text).extractor_config
+    assert (config.input_length, config.output_length) == (8, 4)
 
 
 def test_non_integral_compression_ratio_rejected():

@@ -502,9 +502,9 @@ def assert_rows_match_matrix(ext, xs, ys, out):
 def many_cases(draw):
     """(batch points, block, extractor, xs, ys): c rows at or beside the batch size, or 0.
 
-    c is capped at 300 rows, which only the production 2^18 points exceed.
+    c is capped at 300 rows, which only the production batch points exceed.
     """
-    points = draw(st.sampled_from([64, 256, 1 << 18]))
+    points = draw(st.sampled_from([64, 256, toeplitz._BATCH_POINTS]))
     block = draw(st.sampled_from([4, toeplitz._BLOCK]))
     n = draw(st.integers(2, 40))
     if draw(st.booleans()):
@@ -533,7 +533,7 @@ def test_extract_many_rows_match_matrix(case):
 
 
 @pytest.mark.parametrize("ext, rows", [
-    (ModifiedToeplitzExtractor(128, 64), 2048), (ToeplitzExtractor(128, 64), 1024),
+    (ModifiedToeplitzExtractor(128, 64), 512), (ToeplitzExtractor(128, 64), 256),
 ])
 def test_extract_many_batch_rule_at_128_to_64(ext, rows):
     assert batch_rows(ext) == rows
@@ -556,7 +556,7 @@ def test_extract_many_calls_extract_once_per_batch(monkeypatch):
     xs = np.zeros((5000, 128), dtype=np.uint8)
     ys = np.zeros((5000, 127), dtype=np.uint8)
     ext.extract_many(xs, ys)
-    assert shapes == [(2048, 128), (2048, 128), (904, 128)]
+    assert shapes == [(512, 128)] * 9 + [(392, 128)]
     monkeypatch.setattr(toeplitz, "_BATCH_POINTS", 128)  # one row per call
     shapes.clear()
     ext.extract_many(xs[:3], ys[:3])

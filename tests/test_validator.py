@@ -240,6 +240,14 @@ def test_random_mode_needs_sample_size(thirdparty_bin):
         validator.validate(mode="bogus")
 
 
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+def test_validate_rejects_a_negative_rng_seed_before_any_case(thirdparty_bin, monkeypatch, mode):
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
+    monkeypatch.setattr(Validator, "_case", lambda *args: pytest.fail("a case was drawn"))
+    with pytest.raises(InvalidRange, match="rng_seed must be >= 0, got -5"):
+        validator.validate(mode=mode, sample_size=4, rng_seed=-5)
+
+
 def test_drop_last_bit_mutant_detected_and_analyzed(thirdparty_bin):
     ext = ModifiedToeplitzExtractor(8, 4)
     validator = make_validator(thirdparty_bin, ext, mutation="drop-last-input-bit")
