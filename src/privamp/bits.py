@@ -43,21 +43,11 @@ class BitString:
             return
         if isinstance(bits, str):
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-        elif isinstance(bits, np.ndarray) and bits.dtype.char in "B?":  # uint8 or bool
-            arr = bits.astype(np.uint8)
-        else:
-            # any other dtype is checked before the cast, which would truncate or wrap
-            arr = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
-            if not ((arr == 0) | (arr == 1)).all():
-                raise ValueError("bits must contain only 0 and 1")
-            arr = arr.astype(np.uint8)
+        else:  # an array is copied, so its owner cannot change the bits
+            arr = bits.copy() if isinstance(bits, np.ndarray) else np.asarray(list(bits))
         if arr.ndim != 1:
             raise DimensionMismatch("bits must be one-dimensional")
-        if arr.size and arr.max() > 1:
-            raise ValueError("bits must contain only 0 and 1")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        self._bits = arr
+        self._bits = _zero_one(arr)
 
     # -- constructors -------------------------------------------------
 
@@ -196,18 +186,27 @@ def _unhex_rows(values: list[str], length: int) -> np.ndarray:
     return bits[:, pad:]
 
 
+def _zero_one(values, what: str = "bits") -> np.ndarray:
+    """``values`` as a read-only uint8 array, a view of a uint8 or bool one; ValueError unless 0/1."""
+    arr = np.asarray(values)
+    if arr.dtype.char in "B?":  # uint8 or bool: viewed and scanned once
+        arr = arr.view(np.uint8)
+        ok = not arr.size or arr.max() <= 1
+    else:  # checked before the cast, which would truncate or wrap
+        ok = ((arr == 0) | (arr == 1)).all()
+    if not ok:
+        raise ValueError(f"{what} must contain only 0 and 1")
+    arr = arr.astype(np.uint8, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
 def gf2_matvec(matrix: Gf2Matrix, x) -> Gf2Vector:
     """Matrix-vector product over GF(2): z_i = XOR_j (M_ij AND x_j)."""
-    m = np.asarray(matrix)
     v = BitString(x).bits
-    if m.dtype.char in "B?":  # uint8 or bool, as to_matrix returns
-        bad = m.size and m.max() > 1
-    else:  # any other dtype is checked before the cast, which would truncate or wrap
-        bad = not ((m == 0) | (m == 1)).all()
-    if bad:
-        raise ValueError("matrix entries must be 0 or 1")
+    m = _zero_one(matrix, "matrix entries")
     if m.ndim != 2:
         raise DimensionMismatch(f"need a 2-D matrix, got {m.ndim}-D")
     if m.shape[1] != v.size:
         raise DimensionMismatch(f"matrix has {m.shape[1]} columns, vector has {v.size}")
-    return ((m.astype(np.uint8, copy=False) & v).sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
+    return ((m & v).sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)

@@ -118,6 +118,9 @@ def cmd_params(args) -> int:
 def cmd_validate(args) -> int:
     ext = _build_extractor(args)
     validator = Validator(ext, exhaustive_cap=args.exhaustive_cap)
+    run = dict(mode=args.mode, sample_size=args.samples, rng_seed=args.rng_seed,
+               timeout=args.timeout, workers=args.workers)
+    validator._check_run(**run)  # a bad argument fails before the probe launches the command
     validator.add_implementation(
         label=args.label,
         command=args.command,
@@ -126,13 +129,7 @@ def cmd_validate(args) -> int:
         output_parser=args.output_format,
         output_path=args.output_path,
     )
-    report = validator.validate(
-        mode=args.mode,
-        sample_size=args.samples,
-        rng_seed=args.rng_seed,
-        timeout=args.timeout,
-        workers=args.workers,
-    )
+    report = validator.validate(**run)
     print(report.summary())
     if report.passed:
         return EXIT_OK

@@ -6,7 +6,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _zero_one
 from .exceptions import DimensionMismatch, InvalidRange, LengthMismatch
 
 
@@ -83,7 +83,8 @@ class SeededExtractor(ABC):
     def _check_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         """``xs`` and ``ys`` as read-only (c, n) and (c, d) uint8 arrays of 0/1.
 
-        A row is checked as :meth:`_check_lengths` checks one ``x`` or ``y``.
+        A row is checked as :meth:`_check_lengths` checks one ``x`` or ``y``,
+        in place: a uint8 or bool column comes back as a view, not a copy.
         """
         checked = []
         for rows, width, what in ((xs, self.input_length, "input"), (ys, self.seed_length, "seed")):
@@ -92,7 +93,7 @@ class SeededExtractor(ABC):
                 raise DimensionMismatch(f"{what}s must be a 2-D array of rows, got {rows.ndim}-D")
             if rows.shape[1] != width:
                 raise LengthMismatch(f"{what} must be {width} bits, got {rows.shape[1]}")
-            checked.append(BitString(rows.reshape(-1)).bits.reshape(rows.shape))
+            checked.append(_zero_one(rows))
         if len(checked[0]) != len(checked[1]):
             raise DimensionMismatch(f"{len(checked[0])} inputs but {len(checked[1])} seeds")
         return checked[0], checked[1]

@@ -43,15 +43,14 @@ That is for a radix-2 FFT; numpy's is mixed-radix, and the residual check
 (each coefficient < 0.25 from an integer; NaN, inf fail) guards it at run time.
 
 Many cases: ``extract`` also takes a leading batch axis, (c, n) inputs
-and (c, q) seeds giving a (c, m) array.  While m and k fit in a block,
-the c rows share one transform along the last axis; otherwise, and for
-"exact" and "matrix", the rows are hashed one at a time.
-``extract_many`` hands ``extract`` blocks of max(1, 2^16 // next_pow2(q))
-rows (512 at modified 128->64, 256 at standard 128->64), so a call
-transforms at most 2^16 points per operand; a shape whose transform
-alone has 2^16 points, every partitioned one among them, goes in blocks
-of one row.  This is the package's one batch size: test vectors hash
-whole columns through ``extract_many``, the validator 1024 cases a call.
+and (c, q) seeds giving a (c, m) array, and ``extract_many`` is one such
+call.  The columns are checked in place, without a copy, and one block
+loop hashes the rows: while m and k fit in a block, max(1, 2^16 //
+next_pow2(q)) rows share one transform along the last axis (512 at
+modified 128->64, 256 at standard 128->64), so a transform has at most
+2^16 points per operand; partitioned shapes, "exact" and "matrix" take
+one 1-D row at a time.  This is the package's one batch rule: test
+vectors hash whole columns, the validator 1024 cases a call.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ _PRECISION_BITS = 120
 # Partitioned-FFT block, in bits: of 2^16..2^18 the fastest at n = 2^21, 2^22 on a 2-vCPU Xeon
 _BLOCK = 1 << 17
 
-# Transform points per operand in one extract call of extract_many: per case no slower than
+# Transform points per operand in one block of a batch extract: per case no slower than
 # 2^17 or 2^18 on a 2-vCPU Xeon, 128->64 to 4096->2048, and 2^17 raises peak RSS ~1 MiB
 _BATCH_POINTS = 1 << 16
 
@@ -222,23 +221,26 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         the independent path; "matrix" multiplies by the explicit matrix.
 
         ``x`` and ``y`` may carry a leading batch axis: (c, n) and (c, d)
-        arrays of 0/1 give a read-only (c, m) uint8 array whose row i
-        hashes x[i] with y[i] (module docstring: "Many cases").
+        arrays of 0/1, checked in place, give a read-only (c, m) uint8 array
+        whose row i hashes x[i] with y[i], in blocks (module docstring: "Many cases").
         """
         if method not in _METHODS:
             raise InvalidRange(f"unknown method {method!r}")
-        if isinstance(x, np.ndarray) and x.ndim == 2:
-            xs, ys = self._check_rows(x, y)
-            if method == "fft" and max(self.output_length, self._k) <= _BLOCK:
-                out = self._hash(xs, ys, method)  # one transform for every row
-            else:
-                out = np.empty((len(xs), self.output_length), dtype=np.uint8)
-                for i, (x, y) in enumerate(zip(xs, ys)):
-                    out[i] = self._hash(x, y, method)
+        if not (isinstance(x, np.ndarray) and x.ndim == 2):
+            x, y = self._check_lengths(x, y)
+            out = self._hash(x.bits, y.bits, method)
             out.setflags(write=False)
-            return out
-        x, y = self._check_lengths(x, y)
-        return BitString(self._hash(x.bits, y.bits, method))
+            return BitString._wrap(out)  # a new 1-D array of 0/1: nothing to copy or check
+        xs, ys = self._check_rows(x, y)
+        rows = 1  # a partitioned transform, "exact" and "matrix" take one 1-D row
+        if method == "fft" and max(self.output_length, self._k) <= _BLOCK:
+            rows = max(1, _BATCH_POINTS >> max(0, self.seed_length - 1).bit_length())
+        out = np.empty((len(xs), self.output_length), dtype=np.uint8)
+        for lo in range(0, len(xs), rows):
+            block = slice(lo, lo + rows) if rows > 1 else lo
+            out[block] = self._hash(xs[block], ys[block], method)
+        out.setflags(write=False)
+        return out
 
     def _hash(self, x: np.ndarray, y: np.ndarray, method: str) -> np.ndarray:
         """The hash of checked bits ``x`` with ``y``, along the last axis."""
@@ -251,14 +253,8 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         return out
 
     def extract_many(self, xs, ys) -> np.ndarray:
-        """:meth:`SeededExtractor.extract_many` by one ``extract`` call per block of rows."""
-        rows = max(1, _BATCH_POINTS >> max(0, self.seed_length - 1).bit_length())
-        xs, ys = self._check_rows(xs, ys)
-        out = np.empty((len(xs), self.output_length), dtype=np.uint8)
-        for lo in range(0, len(xs), rows):
-            out[lo : lo + rows] = self.extract(xs[lo : lo + rows], ys[lo : lo + rows])
-        out.setflags(write=False)
-        return out
+        """:meth:`SeededExtractor.extract_many`: the columns checked in place, then one batch ``extract``."""
+        return self.extract(*self._check_rows(xs, ys))
 
 
 class ToeplitzExtractor(_ToeplitzBlockExtractor):

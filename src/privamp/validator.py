@@ -300,6 +300,37 @@ class Validator:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(index,)))
         return BitString.random(n, rng), BitString.random(d, rng)
 
+    def _check_run(self, mode, sample_size, rng_seed, timeout, workers) -> tuple[int, int]:
+        """(cases, workers) of a :meth:`validate` run; InvalidRange for an argument it rejects.
+
+        It launches nothing, so the command line checks its arguments
+        with it before :meth:`add_implementation` probes the command.
+        """
+        if not 0 < timeout <= _MAX_TIMEOUT:
+            raise InvalidRange(f"timeout must lie in (0, {_MAX_TIMEOUT}] s, got {timeout}")
+        if rng_seed is not None and rng_seed < 0:
+            raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
+        n, d = self.reference.input_length, self.reference.seed_length
+        if mode == "exhaustive":
+            if n + d > self.exhaustive_cap:
+                raise InvalidRange(
+                    f"exhaustive mode needs input+seed <= {self.exhaustive_cap} bits, got {n + d}"
+                )
+            total = (1 << n) * (1 << d)
+        elif mode == "random":
+            if sample_size is None or sample_size < 1:
+                raise InvalidRange("random mode needs sample_size >= 1")
+            total = sample_size
+        else:
+            raise InvalidRange(f"unknown mode {mode!r}")
+        if workers is None:
+            raw = os.environ.get(WORKERS_ENV, str(DEFAULT_WORKERS))
+            try:
+                workers = int(raw)
+            except ValueError:
+                raise InvalidRange(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+        return total, max(1, workers)
+
     def validate(
         self,
         mode: str = "exhaustive",
@@ -320,37 +351,10 @@ class Validator:
         ``Popen.communicate`` can poll for.
         """
         adapter = self._resolve(label)
-        if not 0 < timeout <= _MAX_TIMEOUT:
-            raise InvalidRange(f"timeout must lie in (0, {_MAX_TIMEOUT}] s, got {timeout}")
-        if rng_seed is not None and rng_seed < 0:
-            raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
-        n, d, m = (
-            self.reference.input_length,
-            self.reference.seed_length,
-            self.reference.output_length,
-        )
-        if mode == "exhaustive":
-            if n + d > self.exhaustive_cap:
-                raise InvalidRange(
-                    f"exhaustive mode needs input+seed <= {self.exhaustive_cap} bits, got {n + d}"
-                )
-            total = (1 << n) * (1 << d)
-        elif mode == "random":
-            if sample_size is None or sample_size < 1:
-                raise InvalidRange("random mode needs sample_size >= 1")
-            total = sample_size
-        else:
-            raise InvalidRange(f"unknown mode {mode!r}")
-
-        if workers is None:
-            raw = os.environ.get(WORKERS_ENV, str(DEFAULT_WORKERS))
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise InvalidRange(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-        workers = max(1, workers)
+        total, workers = self._check_run(mode, sample_size, rng_seed, timeout, workers)
         if adapter.output_path is not None:
             workers = 1  # a fixed output path cannot be shared between cases
+        m = self.reference.output_length
 
         def run_one(case):
             index, x, y, expected = case

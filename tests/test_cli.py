@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -257,6 +258,28 @@ def test_validate_bad_worker_env_exits_2(thirdparty_bin, capsys, monkeypatch):
     assert "PRIVAMP_WORKERS" in err and "'four'" in err
 
 
+@pytest.mark.parametrize("args, workers, message", [
+    (["--timeout", "0"], None, "timeout must lie in"),
+    (["--mode", "random", "--samples", "4", "--rng-seed", "-1"], None, "rng_seed must be >= 0"),
+    (["--mode", "random"], None, "random mode needs sample_size"),
+    (["--mode", "random", "--samples", "0"], None, "random mode needs sample_size"),
+    (["--exhaustive-cap", "6"], None, "exhaustive mode needs input+seed <= 6"),
+    ([], "four", "PRIVAMP_WORKERS must be an integer"),
+], ids=["timeout", "rng-seed", "no-samples", "zero-samples", "exhaustive-cap", "workers-env"])
+def test_validate_argument_errors_exit_2_before_the_probe(capsys, monkeypatch, args, workers, message):
+    # the probe would sleep 2 s: a bad argument must be reported without launching it
+    if workers is not None:
+        monkeypatch.setenv("PRIVAMP_WORKERS", workers)
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
+        "--command", "sh -c 'sleep 2; echo 00' $SEED$ $INPUT$", *args,
+    )
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "") and message in err
+
+
 # -- vectors ------------------------------------------------------------------
 
 
@@ -481,6 +504,18 @@ def test_cli_import_leaves_mpmath_unloaded():
     src = os.path.dirname(os.path.dirname(privamp.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = "import sys, privamp.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.stdout.strip() == "False", result.stderr
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # as mpmath above: its first import adds ~10-15 ms to every command's start-up
+    src = os.path.dirname(os.path.dirname(privamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, privamp.cli; print('numpy.random' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=60,

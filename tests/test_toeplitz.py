@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -544,23 +545,47 @@ def test_extract_many_batch_rule_at_128_to_64(ext, rows):
 
 
 def test_extract_many_calls_extract_once_per_batch(monkeypatch):
+    # extract_many is one extract call, and both hand _hash the same blocks
     ext = ModifiedToeplitzExtractor(128, 64)
     shapes = []
-    original = ModifiedToeplitzExtractor.extract
+    original = ModifiedToeplitzExtractor._hash
 
     def counting(self, x, y, *args, **kwargs):
         shapes.append(x.shape)
         return original(self, x, y, *args, **kwargs)
 
-    monkeypatch.setattr(ModifiedToeplitzExtractor, "extract", counting)
+    monkeypatch.setattr(ModifiedToeplitzExtractor, "_hash", counting)
     xs = np.zeros((5000, 128), dtype=np.uint8)
     ys = np.zeros((5000, 127), dtype=np.uint8)
-    ext.extract_many(xs, ys)
-    assert shapes == [(512, 128)] * 9 + [(392, 128)]
-    monkeypatch.setattr(toeplitz, "_BATCH_POINTS", 128)  # one row per call
-    shapes.clear()
-    ext.extract_many(xs[:3], ys[:3])
-    assert shapes == [(1, 128)] * 3
+    for call in (ext.extract, ext.extract_many):
+        shapes.clear()
+        call(xs, ys)
+        assert shapes == [(512, 128)] * 9 + [(392, 128)]
+    monkeypatch.setattr(toeplitz, "_BATCH_POINTS", 128)  # one 1-D row per call
+    for call in (ext.extract, ext.extract_many):
+        shapes.clear()
+        call(xs[:3], ys[:3])
+        assert shapes == [(128,)] * 3
+
+
+@pytest.mark.parametrize("make", [ModifiedToeplitzExtractor, ToeplitzExtractor])
+def test_batch_hashing_runs_in_bounded_memory(make):
+    # 2*10^4 read-only 128-bit rows: one transform for all rows traces 76-118 MiB, and
+    # copying the columns before the blocks 8-9 MiB; in place and in blocks, ~3 MiB
+    ext = make(128, 64)
+    rng = np.random.default_rng(20)
+    xs = rng.integers(0, 2, size=(20_000, 128), dtype=np.uint8)
+    ys = rng.integers(0, 2, size=(20_000, ext.seed_length), dtype=np.uint8)
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    for call in (ext.extract, ext.extract_many):
+        tracemalloc.start()
+        try:
+            call(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 << 20, f"{call.__name__} peaked at {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("method", ["fft", "exact", "matrix"])
