@@ -24,10 +24,12 @@ blocks x_j of b bits, and output block a (of M) is coefficients
 [b-1, 2b-1) of irfft(sum_j W_{a+j} X_{K-1-j}, 2b), with X_j =
 rfft(x_j, 2b) and W_e = rfft(d[e*b : e*b + 2b], 2b), d zero-padded; a
 2b-point cyclic convolution of a 2b- and a b-bit operand wraps onto
-[0, b-1) only.  Schedule: M+2K-1 forward transforms, then M inverse
-ones, one job each on up to one thread per usable CPU (numpy's FFT
-releases the GIL).  Cost: ~4(m+k) transform points, 3 next_pow2(m+k)
-unpartitioned.  Memory: all spectra are stored, ~16(m+k) + 16k bytes.
+[0, b-1) only.  Schedule: the X_j and the first windows, then rounds of g =
+min(CPUs, M) output blocks, inverted while the next round's windows go
+forward, one thread per CPU: M+2K-1 forward, M inverse transforms.  Cost:
+~4(m+k) transform points (3 next_pow2(m+k) unpartitioned) and ~mk/b complex
+multiply-adds in the MK block products, quadratic in n.  Memory: 16(b+1)(K+R)
+bytes of spectra: the X_j reversed, a ring of R = min(M+K-1, K+2g-1) windows.
 
 Exactness (Percival, Math. Comp. 72, 2003, Thm. 5.1): a radix-2 cyclic
 convolution of a and c on 2^n points in binary64 (u = 2^-53, twiddles
@@ -64,8 +66,6 @@ import numpy as np
 from .bits import BitString, gf2_matvec
 from .exceptions import InvalidRange, PrecisionLoss
 from .extractor import SeededExtractor, check_source_parameters
-
-_METHODS = ("fft", "exact", "matrix")
 
 # 120-bit working precision keeps the floor of k + 2 - 2*log2(1/eps) exact
 # for any realistic argument; 53-bit doubles would not for k beyond ~2^40.
@@ -162,22 +162,31 @@ def _block_fft(d: np.ndarray, x: np.ndarray) -> np.ndarray:
         spectrum *= np.fft.rfft(x, size)  # in place: a batch's spectra are its largest arrays
         return _rounded_bits(np.fft.irfft(spectrum, size)[..., k - 1 : q])
     mb, kb = -(-m // b), -(-k // b)
-    w = np.empty((mb + kb - 1, b + 1), dtype=complex)  # W_e
-    xs = np.empty((kb, b + 1), dtype=complex)  # X_j
-    x_blocks = np.pad(x, (kb * b - k, 0)).reshape(kb, b)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    g = min(cpus, mb)  # output blocks per round
+    r = min(mb + kb - 1, kb + 2 * g - 1)  # W_e at row e % r of the ring, X_{K-1-j} at row j of xr
+    ring, xr = np.empty((r, b + 1), dtype=complex), np.empty((kb, b + 1), dtype=complex)
+    x_blocks = np.pad(x, (kb * b - k, 0)).reshape(kb, b)[::-1]
 
     def forward(dst, src):  # rfft zero-pads src to 2b
         dst[:] = np.fft.rfft(src, 2 * b)
 
-    def inverse(a):
-        acc = np.einsum("jf,jf->f", w[a : a + kb], xs[::-1])  # sum_j W_{a+j} X_{K-1-j}
+    def inverse(a):  # sum_j W_{a+j} X_{K-1-j}: rows s .. r-1 of the ring, then 0 ..
+        s = a % r
+        acc = np.einsum("jf,jf->f", ring[s : s + kb], xr[: r - s])
+        if s + kb > r:
+            acc += np.einsum("jf,jf->f", ring[: s + kb - r], xr[r - s :])
         return _rounded_bits(np.fft.irfft(acc, 2 * b)[b - 1 : 2 * b - 1])
 
-    frames = [d[e * b : e * b + 2 * b] for e in range(len(w))] + list(x_blocks)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(min(cpus, len(frames))) as pool:  # numpy's FFT releases the GIL
-        list(pool.map(forward, [*w, *xs], frames))
-        return np.concatenate(list(pool.map(inverse, range(mb))))[:m]
+    with ThreadPoolExecutor(cpus) as pool:  # numpy's FFT releases the GIL
+        out, top, jobs = [], 0, [pool.submit(forward, *frame) for frame in zip(xr, x_blocks)]
+        for a0 in range(-g, mb, g):  # blocks a0 .. a0+g-1 while the next round's windows go forward
+            done, top = top, min(a0 + kb + 2 * g - 1, mb + kb - 1)
+            jobs += [pool.submit(forward, ring[e % r], d[e * b : e * b + 2 * b]) for e in range(done, top)]
+            out += pool.map(inverse, range(max(0, a0), min(a0 + g, mb)))
+            while jobs:
+                jobs.pop().result()
+        return np.concatenate(out)[:m]
 
 
 class _ToeplitzBlockExtractor(SeededExtractor):
@@ -224,7 +233,7 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         arrays of 0/1, checked in place, give a read-only (c, m) uint8 array
         whose row i hashes x[i] with y[i], in blocks (module docstring: "Many cases").
         """
-        if method not in _METHODS:
+        if method not in ("fft", "exact", "matrix"):
             raise InvalidRange(f"unknown method {method!r}")
         if not (isinstance(x, np.ndarray) and x.ndim == 2):
             x, y = self._check_lengths(x, y)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import selectors
 import shlex
 import signal
 import subprocess
@@ -52,7 +53,43 @@ DEFAULT_TIMEOUT = 30.0
 DEFAULT_WORKERS = 4
 
 _CHUNK = 1024  # cases queued at once: Executor.map submits all it is given up front
-_MAX_TIMEOUT = 2_147_483  # seconds: Popen.communicate polls with a C int of milliseconds
+_MAX_TIMEOUT = 2_147_483  # seconds: communicate and poll() wait with a C int of milliseconds
+
+
+def _communicate(proc: subprocess.Popen, timeout: float) -> tuple:
+    """``proc.communicate(timeout=timeout)``, woken by the exit itself where a pidfd can be had.
+
+    After the pipes close, ``Popen.wait(timeout)`` polls the child with
+    ``time.sleep``, ~1 ms a case.  A pidfd is readable once the child has
+    exited, so one poll() loop reads both pipes and waits for the exit under
+    one deadline.  Without ``os.pidfd_open``, or where it fails, this is
+    ``communicate``.
+    """
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        return proc.communicate(timeout=timeout)
+    deadline = time.monotonic() + timeout
+    chunks = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
+    try:
+        with selectors.PollSelector() as sel:
+            for fd in (*chunks, pidfd):
+                sel.register(fd, selectors.EVENT_READ)
+            while sel.get_map():
+                remaining = deadline - time.monotonic()
+                ready = sel.select(remaining) if remaining > 0 else []
+                if not ready:
+                    raise subprocess.TimeoutExpired(proc.args, timeout)
+                for key, _ in ready:
+                    data = os.read(key.fd, 32768) if key.fd != pidfd else b""
+                    if data:
+                        chunks[key.fd].append(data)
+                    else:  # end of file, or the child has exited
+                        sel.unregister(key.fd)
+    finally:
+        os.close(pidfd)
+    proc.wait(max(0.0, deadline - time.monotonic()))  # reaps the exited child at once
+    return tuple(b"".join(parts) for parts in chunks.values())
 
 
 def _serialize(value: BitString, fmt: str) -> str:
@@ -173,7 +210,7 @@ class ImplementationAdapter:
             raise AdapterCrashed(f"could not launch {argv[0]!r}: {exc}") from exc
         with proc:
             try:
-                stdout, stderr = proc.communicate(timeout=timeout)
+                stdout, stderr = _communicate(proc, timeout)
             except subprocess.TimeoutExpired as exc:
                 raise AdapterCrashed(f"timed out after {timeout} s") from exc
             finally:
@@ -348,7 +385,7 @@ class Validator:
         report is exactly reproducible given ``rng_seed``.  Crashed
         cases are recorded, not fatal.  ``timeout`` (seconds per case)
         must lie in (0, 2147483], the longest wait that
-        ``Popen.communicate`` can poll for.
+        ``Popen.communicate`` and poll() can take.
         """
         adapter = self._resolve(label)
         total, workers = self._check_run(mode, sample_size, rng_seed, timeout, workers)

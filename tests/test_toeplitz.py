@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 
@@ -433,15 +434,50 @@ def block_crossing_shapes(draw):
     return block, ext, BitString.random(n, rng), BitString.random(ext.seed_length, rng)
 
 
+def pin_workers(mp, workers):
+    """Make the partitioned kernel see ``workers`` usable CPUs."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    mp.setattr(os, "cpu_count", lambda: workers)
+
+
 @settings(max_examples=150, deadline=None)
 @given(block_crossing_shapes())
 def test_partitioned_fft_matches_matrix_and_exact(case):
+    # rounds of 1, 2 and 3 output blocks: the ring of seed spectra wraps at
+    # several lengths, and holds all M+K-1 of them where M < 2g
     block, ext, x, y = case
     ref = ext.extract(x, y, method="matrix")
     assert ext.extract(x, y, method="exact") == ref
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(toeplitz, "_BLOCK", block)
-        assert ext.extract(x, y, method="fft") == ref
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(toeplitz, "_BLOCK", block)
+            pin_workers(mp, workers)
+            assert ext.extract(x, y, method="fft") == ref
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_partitioned_fft_stores_a_ring_of_seed_spectra(monkeypatch, workers):
+    # M = 32 output and K = 4 input blocks of b bits: the K input spectra and a
+    # ring of min(M+K-1, K+2g-1) seed spectra, 9 to 13, not all M+2K-1 = 39
+    b, mb, kb = 4096, 32, 4
+    monkeypatch.setattr(toeplitz, "_BLOCK", b)
+    pin_workers(monkeypatch, workers)
+    rng = np.random.default_rng(workers)
+    d = rng.integers(0, 2, size=(mb + kb) * b - 1, dtype=np.uint8)
+    x = rng.integers(0, 2, size=kb * b, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        out = _block_fft(d, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, _block_exact(d, x))
+    spectrum, g = 16 * (b + 1), min(workers, mb)
+    stored = spectrum * (kb + min(mb + kb - 1, kb + 2 * g - 1))
+    # beside them: the output blocks and their concatenation (2m bytes), and the
+    # frames in flight, a few spectra per thread (3.7-3.8 spectra measured)
+    bound = stored + 2 * mb * b + (3 + 2 * g) * spectrum
+    assert peak <= bound, f"peak {peak / spectrum:.1f} spectra, bound {bound / spectrum:.1f}"
 
 
 def test_partitioned_fft_real_block_size():

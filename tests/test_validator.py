@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -15,6 +17,7 @@ from privamp import (
 )
 from privamp.exceptions import (
     AdapterConfigError,
+    AdapterCrashed,
     DuplicateLabel,
     InvalidRange,
     NoFailures,
@@ -395,6 +398,76 @@ def test_clean_exit_kills_background_jobs(tmp_path):
     assert out == BitString("0")
     time.sleep(max(0.0, started + 1.5 - time.monotonic()))
     assert not marker.exists()
+
+
+def _has_pidfd():
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+@pytest.fixture(params=["pidfd", "no-pidfd_open", "pidfd_open-fails"])
+def wait_path(request, monkeypatch):
+    """(path, timeouts): one way of waiting for the child, and the timeouts communicate got."""
+    if request.param == "pidfd" and not _has_pidfd():
+        pytest.skip("os.pidfd_open is not available here")
+    if request.param == "no-pidfd_open":
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    elif request.param == "pidfd_open-fails":
+        def refuse(pid, flags=0):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(os, "pidfd_open", refuse, raising=False)
+    timeouts = []
+    real_communicate = subprocess.Popen.communicate
+
+    def communicate(self, input=None, timeout=None):
+        timeouts.append(timeout)
+        return real_communicate(self, input, timeout)
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", communicate)
+    return request.param, timeouts
+
+
+def test_every_wait_path_gives_the_same_results(thirdparty_bin, wait_path, monkeypatch):
+    path, timeouts = wait_path
+    if path == "pidfd":  # the child's exit wakes the wait: Popen.wait's sleep loop never runs
+        monkeypatch.setattr(time, "sleep", lambda s: pytest.fail(f"slept {s} s in a normal case"))
+    ext = ModifiedToeplitzExtractor(8, 4)
+    adapter = ImplementationAdapter(
+        label="c", command=thirdparty_command(thirdparty_bin, "modified-toeplitz", 8, 4),
+        serializers={"$INPUT$": "binary-string", "$SEED$": "binary-string"},
+    )
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x, y = BitString.random(8, rng), BitString.random(ext.seed_length, rng)
+        assert adapter.run_case(x, y, 4, timeout=5.0) == ext.extract(x, y)
+    # the exit-code message, with stderr decoded as before
+    failing = ImplementationAdapter(
+        label="f", command="sh -c 'printf \"\\377 oops\" >&2; exit 3'", serializers={},
+    )
+    with pytest.raises(AdapterCrashed, match="^exit code 3: \ufffd oops$"):
+        failing.run_case(BitString("01"), BitString("1"), 1, timeout=5.0)
+    assert timeouts == ([] if path == "pidfd" else [5.0] * 21)  # the pidfd path never falls back
+
+
+def test_a_child_that_closes_its_pipes_still_times_out(tmp_path, wait_path):
+    path, timeouts = wait_path
+    # the pipes reach end of file at once; the wait for the exit keeps the deadline,
+    # and the kill of the group keeps the shell from running on
+    marker = tmp_path / "shell-survived"
+    adapter = ImplementationAdapter(
+        label="closer", command=f"sh -c 'exec >&- 2>&-; sleep 2; touch {marker}'", serializers={},
+    )
+    started = time.monotonic()
+    with pytest.raises(AdapterCrashed, match="^timed out after 0.3 s$"):
+        adapter.run_case(BitString("01"), BitString("1"), 1, timeout=0.3)
+    assert time.monotonic() - started < 1.5
+    time.sleep(max(0.0, started + 2.5 - time.monotonic()))
+    assert not marker.exists()
+    assert timeouts == ([] if path == "pidfd" else [0.3])
 
 
 def test_files_mode_round_trip(thirdparty_bin, tmp_path):
