@@ -226,9 +226,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PrivampError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    except (PrivampError, MemoryError) as exc:  # numpy's MemoryError names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return getattr(exc, "exit_code", 1)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS

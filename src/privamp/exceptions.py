@@ -47,6 +47,12 @@ class PrecisionLoss(PrivampError):
     exit_code = 1
 
 
+class InsufficientMemory(PrivampError):
+    """A computation's workspace is larger than the memory available to the process."""
+
+    exit_code = 1
+
+
 class TooManySets(PrivampError):
     """Requested weak design size exceeds the t**t sanity cap."""
 

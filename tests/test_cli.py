@@ -1,12 +1,14 @@
 import os
+import re
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import privamp
-from privamp import validator
+from privamp import toeplitz, validator
 from privamp.cli import build_parser, main
 from privamp.trevisan import FiniteFieldPolynomialDesign
 
@@ -87,6 +89,36 @@ def test_extract_trevisan_needs_t(capsys):
     )
     assert code == 2
     assert "one-bit-seed-length" in err
+
+
+def golden_extract(capsys):
+    return run(
+        capsys,
+        "extract", "--type", "modified-toeplitz", "-n", "128", "-m", "64",
+        "--input", GOLDEN_INPUT, "--seed", GOLDEN_SEED,
+    )
+
+
+def test_extract_fails_loudly_when_the_workspace_does_not_fit(capsys, monkeypatch):
+    monkeypatch.setattr(toeplitz, "_BLOCK", 4)  # 128 -> 64 in blocks of 4 bits: partitioned
+    monkeypatch.setattr(toeplitz, "_available_memory", lambda: 1000)
+    code, out, err = golden_extract(capsys)
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"error: the FFT workspace needs \d+ bytes, 1000 are available\n", err)
+    monkeypatch.setattr(toeplitz, "_available_memory", lambda: None)
+    assert golden_extract(capsys)[:2] == (0, GOLDEN_OUTPUT + "\n")
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 2.00 GiB for an array", "error: Unable to allocate 2.00 GiB for an array"),
+    ("", "error: out of memory"),
+])
+def test_extract_reports_a_memory_error_in_one_line(capsys, monkeypatch, message, line):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np.fft, "rfft", no_memory)
+    assert golden_extract(capsys) == (1, "", line + "\n")
 
 
 # -- params -------------------------------------------------------------------

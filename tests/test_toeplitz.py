@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import threading
 import tracemalloc
 
 import mpmath
@@ -19,7 +20,13 @@ from privamp import (
     hex_decode,
     toeplitz,
 )
-from privamp.exceptions import DimensionMismatch, InvalidRange, LengthMismatch, PrecisionLoss
+from privamp.exceptions import (
+    DimensionMismatch,
+    InsufficientMemory,
+    InvalidRange,
+    LengthMismatch,
+    PrecisionLoss,
+)
 from privamp.toeplitz import _block_exact, _block_fft
 
 
@@ -478,6 +485,124 @@ def test_partitioned_fft_stores_a_ring_of_seed_spectra(monkeypatch, workers):
     # frames in flight, a few spectra per thread (3.7-3.8 spectra measured)
     bound = stored + 2 * mb * b + (3 + 2 * g) * spectrum
     assert peak <= bound, f"peak {peak / spectrum:.1f} spectra, bound {bound / spectrum:.1f}"
+
+
+def partitioned_case(b, mb, kb, seed):
+    """Modified Toeplitz with M = ``mb`` output and K = ``kb`` input blocks of b bits, x and y."""
+    ext = ModifiedToeplitzExtractor((mb + kb) * b, mb * b)
+    rng = np.random.default_rng(seed)
+    return ext, BitString.random(ext.input_length, rng), BitString.random(ext.seed_length, rng)
+
+
+def workspace_bytes(b, mb, kb, workers):
+    """Stored spectra, a frame and an accumulator per thread, and the m-byte output."""
+    g = min(workers, mb)
+    return 16 * (b + 1) * (kb + min(mb + kb - 1, kb + 2 * g - 1) + 2 * workers) + mb * b
+
+
+def root(a):
+    """The array that owns the memory of ``a``."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])  # None: 10^4 rows of 128 -> 64 in batches
+def test_fft_blocks_write_into_one_workspace(monkeypatch, workers):
+    # every transform writes through out=, and each thread's transforms draw on at most
+    # 3 arrays (a frame and two spectra, or the stored spectra): no block has buffers of its own
+    calls = []  # (thread, input, out); list.append is thread-safe
+
+    def spying(real):
+        def transform(a, n=None, *args, **kwargs):
+            calls.append((threading.get_ident(), a, kwargs.get("out")))
+            return real(a, n, *args, **kwargs)
+
+        return transform
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, spying(getattr(np.fft, name)))
+    if workers is None:
+        ext, rng = ModifiedToeplitzExtractor(128, 64), np.random.default_rng(128)
+        xs = rng.integers(0, 2, size=(10_000, 128), dtype=np.uint8)
+        ys = rng.integers(0, 2, size=(10_000, 127), dtype=np.uint8)
+        out = ext.extract_many(xs, ys)
+        assert np.array_equal(out[-3:], ext.extract(xs[-3:], ys[-3:], method="exact"))
+        workers = 1
+    else:
+        monkeypatch.setattr(toeplitz, "_BLOCK", 4096)
+        pin_workers(monkeypatch, workers)
+        ext, x, y = partitioned_case(4096, 8, 4, workers)
+        assert ext.extract(x, y) == ext.extract(x, y, method="exact")
+    assert calls and all(isinstance(out, np.ndarray) for _, _, out in calls)
+    threads = {thread for thread, _, _ in calls}
+    assert len(threads) <= workers
+    for thread in threads:
+        assert len({id(root(arr)) for t, a, out in calls if t == thread for arr in (a, out)}) <= 3
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_modified_extract_peaks_at_its_workspace(monkeypatch, workers):
+    # b = 4096, M = 32, K = 4 through extract, so that a rotated copy of the seed (q
+    # bytes), padded input blocks or per-block output blocks would count
+    b, mb, kb = 4096, 32, 4
+    monkeypatch.setattr(toeplitz, "_BLOCK", b)
+    pin_workers(monkeypatch, workers)
+    ext, x, y = partitioned_case(b, mb, kb, workers)
+    expected = ext.extract(x, y)  # first, so that imports (numpy.fft is lazy) are not traced
+    tracemalloc.start()
+    try:
+        out = ext.extract(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == expected == ext.extract(x, y, method="exact")
+    # slack: a rounding temporary of 8b bytes per thread, and 32 KiB of futures, threads
+    # and other small objects (the peak is 46-62 KiB above the workspace at 1-3 workers)
+    bound = workspace_bytes(b, mb, kb, workers) + 8 * b * workers + (32 << 10)
+    assert peak <= bound, f"peak {peak} bytes, bound {bound}"
+
+
+def test_partitioned_fft_fails_loudly_before_the_first_transform(monkeypatch):
+    b, mb, kb = 4096, 32, 4
+    monkeypatch.setattr(toeplitz, "_BLOCK", b)
+    pin_workers(monkeypatch, 2)
+    ext, x, y = partitioned_case(b, mb, kb, 2)
+    need = workspace_bytes(b, mb, kb, 2)
+    real_rfft = np.fft.rfft
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran before the memory check")
+
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    monkeypatch.setattr(toeplitz, "_available_memory", lambda: need - 1)
+    with pytest.raises(InsufficientMemory, match=f"needs {need} bytes, {need - 1} are available"):
+        ext.extract(x, y)
+    assert InsufficientMemory.exit_code == 1
+    monkeypatch.setattr(np.fft, "rfft", real_rfft)
+    expected = ext.extract(x, y, method="exact")
+    for free in (need, None):  # just enough, or nothing readable: no check
+        monkeypatch.setattr(toeplitz, "_available_memory", lambda: free)
+        assert ext.extract(x, y) == expected
+
+
+def test_available_memory_reads_meminfo_and_cgroup(monkeypatch, tmp_path):
+    def write(path, text):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+
+    monkeypatch.setattr(toeplitz, "Path", lambda path: tmp_path / path.lstrip("/"))
+    assert toeplitz._available_memory() is None  # neither readable
+    write("proc/meminfo", "MemTotal:       8000 kB\nMemAvailable:       1000 kB\n")
+    assert toeplitz._available_memory() == 1000 << 10
+    write("proc/self/cgroup", "0::/job\n")
+    write("sys/fs/cgroup/job/memory.max", "max\n")  # no limit
+    write("sys/fs/cgroup/job/memory.current", "300000\n")
+    assert toeplitz._available_memory() == 1000 << 10
+    write("sys/fs/cgroup/job/memory.max", "500000\n")
+    assert toeplitz._available_memory() == 200000
+    (tmp_path / "proc/meminfo").unlink()
+    assert toeplitz._available_memory() == 200000
 
 
 def test_partitioned_fft_real_block_size():
