@@ -26,14 +26,12 @@ rfft(x_j, 2b) and W_e = rfft(d[e*b : e*b + 2b], 2b), d zero-padded; a
 2b-point cyclic convolution of a 2b- and a b-bit operand wraps onto
 [0, b-1) only.  Schedule: the X_j and the first windows, then rounds of g =
 min(CPUs, M) output blocks, inverted while the next round's windows go
-forward, one thread per CPU (numpy's FFT releases the GIL): M+2K-1 forward, M
-inverse transforms.  Cost: ~4(m+k) points (3 next_pow2(m+k) unpartitioned) and
-~mk/b complex multiply-adds in the MK block products, quadratic in n.  Memory:
-one workspace of 16(b+1)(K+R+2c) + m bytes for c CPUs, checked against the
-free memory before the first transform: the X_j reversed, a ring of R =
-min(M+K-1, K+2g-1) windows, per thread a frame and a sum, and the output;
-frames are filled from y and x in place, so d is never built, and rounding a
-block takes 8b more.
+forward, one thread per CPU: M+2K-1 forward, M inverse transforms.  Cost:
+~4(m+k) transform points (3 next_pow2(m+k) unpartitioned) and ~mk/b complex
+multiply-adds in the MK block products, quadratic in n.  Memory: one workspace
+of 16(b+1)(K+R+2c) + m bytes on c CPUs, allocated and checked before the first
+transform: the X_j reversed, a ring of R = min(M+K-1, K+2g-1) windows, a frame
+and a sum per thread, the output; frames read y in place (no d); +8b to round.
 
 Exactness (Percival, Math. Comp. 72, 2003, Thm. 5.1): a radix-2 cyclic
 convolution of a and c on 2^n points in binary64 (u = 2^-53, twiddles
@@ -154,34 +152,32 @@ def _rounded_bits(window: np.ndarray) -> np.ndarray:
 
 
 def _available_memory() -> int | None:
-    """MemAvailable, capped by cgroup v2 memory.max - memory.current where readable; None if neither is."""
+    """MemAvailable, capped by the cgroup v2 memory.max less memory.current where readable; None if neither is."""
     free = []
     with suppress(OSError, ValueError, IndexError):
         free.append(int(Path("/proc/meminfo").read_text().split("MemAvailable:")[1].split()[0]) << 10)
-    with suppress(OSError, ValueError, StopIteration):
-        lines = Path("/proc/self/cgroup").read_text().split()
-        group = Path("/sys/fs/cgroup" + next(line[3:] for line in lines if line[:3] == "0::"))
-        free.append(int((group / "memory.max").read_text()) - int((group / "memory.current").read_text()))
+    with suppress(OSError, ValueError, IndexError):  # the group's file cache counts as free: it is reclaimed first
+        group = Path("/sys/fs/cgroup" + ("\n" + Path("/proc/self/cgroup").read_text()).split("\n0::")[1].split()[0])
+        stat = (group / "memory.stat").read_text().split()
+        cache = sum(int(stat[stat.index(name) + 1]) for name in ("active_file", "inactive_file"))
+        free.append(int((group / "memory.max").read_text()) - int((group / "memory.current").read_text()) + cache)
     return min(free, default=None)
 
 
-def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0, work: list | None = None) -> np.ndarray:
+def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
     """The window of :func:`_block_exact` for d[t] = y[(t + shift) mod q], 0 <= shift <= q, via real FFT.
 
     A cyclic convolution of size L >= q folds the linear coefficients L
     and above onto indices at most q+k-2-L <= k-2, so the window
     k-1 .. q-1 is free of wrap-around.  While m and k fit in a block,
     ``y`` and ``x`` may carry a leading batch axis, (c, q) and (c, k): one
-    transform along the last axis then serves every row, through a frame
-    and two spectra that the first call puts in ``work`` for calls of <= c rows.
+    transform along the last axis then serves every row.
     """
     q, k = y.shape[-1], x.shape[-1]
     m, b = q - k + 1, _BLOCK
     if max(m, k) <= b:
-        size, rows, work = 1 << max(0, q - 1).bit_length(), x.shape[:-1], [] if work is None else work
-        if not work:  # a frame, then the spectra of d and x
-            work += [np.empty(rows + (size,)), *np.empty((2, *rows, size // 2 + 1), complex)]
-        frame, spectrum, xs = (a[: len(x)] for a in work) if x.ndim > 1 else work
+        size, rows = 1 << max(0, q - 1).bit_length(), x.shape[:-1]
+        frame, (spectrum, xs) = np.empty(rows + (size,)), np.empty((2, *rows, size // 2 + 1), complex)
         frame[..., : q - shift], frame[..., q - shift : q] = y[..., shift:], y[..., :shift]
         np.fft.rfft(frame[..., :q], size, out=spectrum)
         frame[..., :k] = x
@@ -191,8 +187,7 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0, work: list | None =
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     g = min(cpus, mb)  # output blocks per round
     r = min(mb + kb - 1, kb + 2 * g - 1)  # W_e at row e % r of the ring, X_{K-1-j} at row j of xr
-    need, free = 16 * (b + 1) * (kb + r + 2 * cpus) + m, _available_memory()
-    if free is not None and need > free:
+    if (free := _available_memory()) is not None and (need := 16 * (b + 1) * (kb + r + 2 * cpus) + m) > free:
         raise InsufficientMemory(f"the FFT workspace needs {need} bytes, {free} are available")
     spectra, out, local = np.empty((kb + r + 2 * cpus, b + 1), complex), np.empty(m, np.uint8), threading.local()
     xr, ring, slots = spectra[:kb], spectra[kb : kb + r], list(spectra[kb + r :].reshape(cpus, 2, b + 1))
@@ -201,8 +196,7 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0, work: list | None =
         frame, n = local.work[0].view(float), len(src)
         hi, pad = min(hi, n), max(0, -lo)  # pad: the left zeros of the last input block
         cut = min(max(n - shift, lo), hi)  # d[t] wraps to the start of src at t = n - shift
-        frame[:pad] = 0
-        frame[pad : cut - lo] = src[lo + pad + shift : cut + shift]
+        frame[:pad], frame[pad : cut - lo] = 0, src[lo + pad + shift : cut + shift]
         frame[cut - lo : hi - lo] = src[cut + shift - n : hi + shift - n]
         np.fft.rfft(frame[: hi - lo], 2 * b, out=dst)
 
@@ -211,8 +205,7 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0, work: list | None =
         np.einsum("jf,jf->f", ring[s : s + kb], xr[: r - s], out=acc)
         if s + kb > r:
             acc += np.einsum("jf,jf->f", ring[: s + kb - r], xr[r - s :], out=frame)
-        window = np.fft.irfft(acc, 2 * b, out=frame.view(float)[: 2 * b])[b - 1 : -1]
-        out[lo : lo + b] = _rounded_bits(window[: m - lo])
+        out[lo : lo + b] = _rounded_bits(np.fft.irfft(acc, 2 * b, out=frame.view(float)[: 2 * b])[b - 1 : -1][: m - lo])
 
     with ThreadPoolExecutor(cpus, initializer=lambda: setattr(local, "work", slots.pop())) as pool:
         top, jobs = 0, [pool.submit(forward, xr[j], k - (j + 1) * b, k - j * b, x, 0) for j in range(kb)]
@@ -280,19 +273,19 @@ class _ToeplitzBlockExtractor(SeededExtractor):
         rows = 1  # a partitioned transform, "exact" and "matrix" take one 1-D row
         if method == "fft" and max(self.output_length, self._k) <= _BLOCK:
             rows = max(1, _BATCH_POINTS >> max(0, self.seed_length - 1).bit_length())
-        out, work = np.empty((len(xs), self.output_length), dtype=np.uint8), []
+        out = np.empty((len(xs), self.output_length), dtype=np.uint8)
         for lo in range(0, len(xs), rows):
             block = slice(lo, lo + rows) if rows > 1 else lo
-            out[block] = self._hash(xs[block], ys[block], method, work)
+            out[block] = self._hash(xs[block], ys[block], method)
         out.setflags(write=False)
         return out
 
-    def _hash(self, x: np.ndarray, y: np.ndarray, method: str, work: list | None = None) -> np.ndarray:
-        """The hash of checked bits ``x`` with ``y``, along the last axis (``work``: :func:`_block_fft`)."""
+    def _hash(self, x: np.ndarray, y: np.ndarray, method: str) -> np.ndarray:
+        """The hash of checked bits ``x`` with ``y``, along the last axis."""
         if method == "matrix":
             return gf2_matvec(self.to_matrix(y), x)
         m, k = self.output_length, self._k
-        out = (_block_fft(y, x[..., :k], m, work) if method == "fft"  # the q diagonals: y rotated by k-1
+        out = (_block_fft(y, x[..., :k], m) if method == "fft"  # the q diagonals: y rotated by k-1
                else _block_exact(np.concatenate((y[..., m:], y[..., :m]), axis=-1), x[..., :k]))
         out[..., : self.input_length - k] ^= x[..., k:]
         return out

@@ -509,36 +509,44 @@ def root(a):
 
 @pytest.mark.parametrize("workers", [None, 1, 2, 3])  # None: 10^4 rows of 128 -> 64 in batches
 def test_fft_blocks_write_into_one_workspace(monkeypatch, workers):
-    # every transform writes through out=, and each thread's transforms draw on at most
-    # 3 arrays (a frame and two spectra, or the stored spectra): no block has buffers of its own
-    calls = []  # (thread, input, out); list.append is thread-safe
+    # every transform writes through out=, and in one _block_fft call (a batch block, or a
+    # whole partitioned extract) each thread's transforms draw on at most 3 arrays (a frame
+    # and two spectra, or the stored spectra): no output block has buffers of its own
+    calls, block_fft = [], toeplitz._block_fft  # (call, thread, input, out); list.append is thread-safe
+
+    def counting(*args):
+        counting.calls += 1
+        return block_fft(*args)
+
+    counting.calls = 0
 
     def spying(real):
         def transform(a, n=None, *args, **kwargs):
-            calls.append((threading.get_ident(), a, kwargs.get("out")))
+            calls.append((counting.calls, threading.get_ident(), a, kwargs.get("out")))
             return real(a, n, *args, **kwargs)
 
         return transform
 
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, spying(getattr(np.fft, name)))
+    monkeypatch.setattr(toeplitz, "_block_fft", counting)
     if workers is None:
         ext, rng = ModifiedToeplitzExtractor(128, 64), np.random.default_rng(128)
         xs = rng.integers(0, 2, size=(10_000, 128), dtype=np.uint8)
         ys = rng.integers(0, 2, size=(10_000, 127), dtype=np.uint8)
         out = ext.extract_many(xs, ys)
         assert np.array_equal(out[-3:], ext.extract(xs[-3:], ys[-3:], method="exact"))
+        assert counting.calls == 20  # blocks of <= 512 rows
         workers = 1
     else:
         monkeypatch.setattr(toeplitz, "_BLOCK", 4096)
         pin_workers(monkeypatch, workers)
         ext, x, y = partitioned_case(4096, 8, 4, workers)
         assert ext.extract(x, y) == ext.extract(x, y, method="exact")
-    assert calls and all(isinstance(out, np.ndarray) for _, _, out in calls)
-    threads = {thread for thread, _, _ in calls}
-    assert len(threads) <= workers
-    for thread in threads:
-        assert len({id(root(arr)) for t, a, out in calls if t == thread for arr in (a, out)}) <= 3
+    assert calls and all(isinstance(out, np.ndarray) for *_, out in calls)
+    assert len({thread for _, thread, _, _ in calls}) <= workers
+    for key in {(call, thread) for call, thread, _, _ in calls}:
+        assert len({id(root(arr)) for *k, a, out in calls if tuple(k) == key for arr in (a, out)}) <= 3
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -595,14 +603,23 @@ def test_available_memory_reads_meminfo_and_cgroup(monkeypatch, tmp_path):
     assert toeplitz._available_memory() is None  # neither readable
     write("proc/meminfo", "MemTotal:       8000 kB\nMemAvailable:       1000 kB\n")
     assert toeplitz._available_memory() == 1000 << 10
-    write("proc/self/cgroup", "0::/job\n")
+    write("proc/self/cgroup", "1:name=systemd:/\n0::/job\n")
     write("sys/fs/cgroup/job/memory.max", "max\n")  # no limit
     write("sys/fs/cgroup/job/memory.current", "300000\n")
+    write("sys/fs/cgroup/job/memory.stat", "anon 300000\nactive_file 0\ninactive_file 0\n")
     assert toeplitz._available_memory() == 1000 << 10
     write("sys/fs/cgroup/job/memory.max", "500000\n")
     assert toeplitz._available_memory() == 200000
     (tmp_path / "proc/meminfo").unlink()
     assert toeplitz._available_memory() == 200000
+    # a group at its limit, mostly page cache: the cache is reclaimed before the group runs out
+    write("sys/fs/cgroup/job/memory.current", "500000\n")
+    write("sys/fs/cgroup/job/memory.stat", (
+        "anon 40000\nfile 460000\nactive_file 60000\ninactive_file 400000\nworkingset_refault_file 7\n"
+    ))
+    assert toeplitz._available_memory() == 460000
+    (tmp_path / "sys/fs/cgroup/job/memory.stat").unlink()  # no memory.stat: no cgroup figure
+    assert toeplitz._available_memory() is None
 
 
 def test_partitioned_fft_real_block_size():
