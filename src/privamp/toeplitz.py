@@ -187,7 +187,8 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     g = min(cpus, mb)  # output blocks per round
     r = min(mb + kb - 1, kb + 2 * g - 1)  # W_e at row e % r of the ring, X_{K-1-j} at row j of xr
-    if (free := _available_memory()) is not None and (need := 16 * (b + 1) * (kb + r + 2 * cpus) + m) > free:
+    need, free = 16 * (b + 1) * (kb + r + 2 * cpus) + m, _available_memory()
+    if free is not None and need > free:
         raise InsufficientMemory(f"the FFT workspace needs {need} bytes, {free} are available")
     spectra, out, local = np.empty((kb + r + 2 * cpus, b + 1), complex), np.empty(m, np.uint8), threading.local()
     xr, ring, slots = spectra[:kb], spectra[kb : kb + r], list(spectra[kb + r :].reshape(cpus, 2, b + 1))
@@ -196,7 +197,8 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
         frame, n = local.work[0].view(float), len(src)
         hi, pad = min(hi, n), max(0, -lo)  # pad: the left zeros of the last input block
         cut = min(max(n - shift, lo), hi)  # d[t] wraps to the start of src at t = n - shift
-        frame[:pad], frame[pad : cut - lo] = 0, src[lo + pad + shift : cut + shift]
+        frame[:pad] = 0
+        frame[pad : cut - lo] = src[lo + pad + shift : cut + shift]
         frame[cut - lo : hi - lo] = src[cut + shift - n : hi + shift - n]
         np.fft.rfft(frame[: hi - lo], 2 * b, out=dst)
 
@@ -205,7 +207,8 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
         np.einsum("jf,jf->f", ring[s : s + kb], xr[: r - s], out=acc)
         if s + kb > r:
             acc += np.einsum("jf,jf->f", ring[: s + kb - r], xr[r - s :], out=frame)
-        out[lo : lo + b] = _rounded_bits(np.fft.irfft(acc, 2 * b, out=frame.view(float)[: 2 * b])[b - 1 : -1][: m - lo])
+        window = np.fft.irfft(acc, 2 * b, out=frame.view(float)[: 2 * b])[b - 1 : -1]
+        out[lo : lo + b] = _rounded_bits(window[: m - lo])
 
     with ThreadPoolExecutor(cpus, initializer=lambda: setattr(local, "work", slots.pop())) as pool:
         top, jobs = 0, [pool.submit(forward, xr[j], k - (j + 1) * b, k - j * b, x, 0) for j in range(kb)]
