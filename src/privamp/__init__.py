@@ -7,9 +7,9 @@ and CAVP-style request/response test vector tooling.
 """
 
 from . import exceptions
-from .bits import BitString, Gf2Matrix, Gf2Vector, gf2_matvec, hex_decode, hex_encode
+from .bits import BitString, gf2_matvec, hex_decode, hex_encode
 from .extractor import SeededExtractor
-from .fields import GF, FieldElement, GaloisField, field_add, field_eval_poly, field_mul
+from .fields import GF, GaloisField
 from .testvectors import (
     TestVectorFile,
     VectorConfig,
@@ -40,12 +40,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BitString",
     "FailureDiagnosis",
-    "FieldElement",
     "FiniteFieldPolynomialDesign",
     "GF",
     "GaloisField",
-    "Gf2Matrix",
-    "Gf2Vector",
     "ImplementationAdapter",
     "ModifiedToeplitzExtractor",
     "PolynomialOneBitExtractor",
@@ -61,9 +58,6 @@ __all__ = [
     "calculate_length",
     "calculate_length_trevisan",
     "exceptions",
-    "field_add",
-    "field_eval_poly",
-    "field_mul",
     "generate_design",
     "generate_test_vectors",
     "gf2_matvec",

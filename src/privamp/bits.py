@@ -19,11 +19,6 @@ from .exceptions import (
     NonZeroPadding,
 )
 
-# GF(2) vectors and matrices are plain numpy arrays of 0/1 values with
-# row-major semantics; the aliases exist for documentation purposes.
-Gf2Vector = np.ndarray
-Gf2Matrix = np.ndarray
-
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -201,7 +196,7 @@ def _zero_one(values, what: str = "bits") -> np.ndarray:
     return arr
 
 
-def gf2_matvec(matrix: Gf2Matrix, x) -> Gf2Vector:
+def gf2_matvec(matrix: np.ndarray, x) -> np.ndarray:
     """Matrix-vector product over GF(2): z_i = XOR_j (M_ij AND x_j)."""
     v = BitString(x).bits
     m = _zero_one(matrix, "matrix entries")

@@ -29,10 +29,6 @@ class NonZeroPadding(PrivampError):
     """Hex padding bits beyond the declared bit length are not all zero."""
 
 
-class FieldMismatch(PrivampError):
-    """Operands belong to different finite fields."""
-
-
 class NotPrimePower(PrivampError):
     pass
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .exceptions import FieldMismatch, InvalidRange, NotPrimePower
+from .exceptions import InvalidRange, NotPrimePower
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -151,8 +151,8 @@ class GaloisField:
     """GF(p^e) operating on integer-encoded elements.
 
     Use the module-level :func:`GF` factory, which caches instances per
-    order.  Integer-level operations (``add_i`` etc.) are the raw
-    workhorses; ``field(v)`` wraps a value into a :class:`FieldElement`.
+    order, so fields compare by identity.  Elements are the integer
+    encodings that the ``*_i`` methods take and return.
     """
 
     def __init__(self, order: int):
@@ -185,22 +185,16 @@ class GaloisField:
     # -- integer-level arithmetic ---------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
-        return self._add_signed(a, b, 1)
-
-    def sub_i(self, a: int, b: int) -> int:
-        return self._add_signed(a, b, -1)
-
-    def _add_signed(self, a: int, b: int, sign: int) -> int:
-        """a + sign*b, coefficient-wise."""
+        """a + b, coefficient-wise."""
         self._check(a)
         self._check(b)
         p, e = self.characteristic, self.degree
         if e == 1:
-            return (a + sign * b) % p
+            return (a + b) % p
         if p == 2:
             return a ^ b
         return self._encode(
-            [(x + sign * y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))]
+            [(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))]
         )
 
     def mul_i(self, a: int, b: int) -> int:
@@ -252,17 +246,6 @@ class GaloisField:
             acc = self.add_i(self.mul_i(acc, x), self._check(c))
         return acc
 
-    # -- element interface ----------------------------------------------
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(self, self._check(value))
-
-    def __eq__(self, other):
-        return isinstance(other, GaloisField) and other.order == self.order
-
-    def __hash__(self):
-        return hash(("GaloisField", self.order))
-
     def __repr__(self):
         return f"GF({self.order})"
 
@@ -270,79 +253,3 @@ class GaloisField:
 @functools.lru_cache(maxsize=None)
 def GF(order: int) -> GaloisField:
     return GaloisField(order)
-
-
-class FieldElement:
-    """A value in a specific GaloisField; arithmetic checks field identity."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: GaloisField, value: int):
-        self.field = field
-        self.value = field._check(value)
-
-    def _same(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch(f"{other.field} element used in {self.field} arithmetic")
-        return other
-
-    def __add__(self, other):
-        other = self._same(other)
-        return FieldElement(self.field, self.field.add_i(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._same(other)
-        return FieldElement(self.field, self.field.sub_i(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._same(other)
-        return FieldElement(self.field, self.field.mul_i(self.value, other.value))
-
-    def __truediv__(self, other):
-        other = self._same(other)
-        return FieldElement(self.field, self.field.mul_i(self.value, self.field.inv_i(other.value)))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow_i(self.value, n))
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field.order, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"GF({self.field.order})({self.value})"
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_eval_poly(coeffs, point: FieldElement) -> FieldElement:
-    """Evaluate a polynomial at ``point``.
-
-    Coefficient ordering is ascending and normative: coeffs[0] is the
-    constant term, coeffs[k] the degree-k coefficient.  An empty
-    coefficient list is the zero polynomial.
-    """
-    field = point.field
-    values = []
-    for c in coeffs:
-        if not isinstance(c, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(c).__name__}")
-        if c.field != field:
-            raise FieldMismatch(f"{c.field} coefficient used in {field} evaluation")
-        values.append(c.value)
-    return FieldElement(field, field.eval_poly_i(values, point.value))

@@ -175,6 +175,8 @@ def verify_design(
         indices = range(design.m)
         mode = "exhaustive"
     else:
+        if sample_size < 1:
+            raise InvalidRange(f"sample_size must be >= 1, got {sample_size}")
         rng = np.random.default_rng(rng_seed)
         count = min(sample_size, design.m)
         indices = sorted(rng.choice(design.m, size=count, replace=False).tolist())

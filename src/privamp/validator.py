@@ -426,7 +426,7 @@ class Validator:
             label=adapter.label,
             mode=mode,
             total=total,
-            rng_seed=rng_seed,
+            rng_seed=rng_seed if mode == "random" else None,  # exhaustive mode draws nothing
             failed=failures,
             n_failed=n_failed,
             n_crashed=n_crashed,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from privamp import GF, field_add, field_eval_poly, field_mul
-from privamp.exceptions import FieldMismatch, InvalidRange, NotPrimePower
+from privamp import GF
+from privamp.exceptions import InvalidRange, NotPrimePower
 from privamp.fields import min_irreducible, prime_power
 
 
@@ -62,7 +62,6 @@ def test_prime_field_matches_modular_arithmetic(p):
         a, b = int(a), int(b)
         assert field.add_i(a, b) == (a + b) % p
         assert field.mul_i(a, b) == (a * b) % p
-        assert field.sub_i(a, b) == (a - b) % p
 
 
 def test_gf2l_add_is_xor_never_or():
@@ -118,28 +117,16 @@ def test_min_irreducible_table():
         assert got == enc, f"l={l}: got {got:#x}, expected {enc:#x}"
 
 
-def test_field_eval_poly_examples():
+def test_eval_poly_i_coefficients_ascend():
     f5 = GF(5)
-    assert field_eval_poly([f5(2), f5(3)], f5(4)) == f5(4)  # 2 + 3*4 = 14 = 4 mod 5
-    assert field_eval_poly([f5(3)], f5(2)) == f5(3)  # constant polynomial
-    assert field_eval_poly([f5(0), f5(1)], f5(2)) == f5(2)  # identity polynomial
-    assert field_eval_poly([], f5(2)) == f5(0)
-
-
-def test_field_element_operators_and_mismatch():
-    f7, f5 = GF(7), GF(5)
-    a, b = f7(3), f7(6)
-    assert field_add(a, b) == f7(2)
-    assert field_mul(a, b) == f7(4)
-    assert (a - b) == f7(4)
-    assert (a / b) * b == a
-    assert a**3 == f7(6)
-    with pytest.raises(FieldMismatch):
-        field_add(a, f5(1))
-    with pytest.raises(FieldMismatch):
-        field_eval_poly([a, f5(1)], a)
+    assert f5.eval_poly_i([2, 3], 4) == 4  # 2 + 3*4 = 14 = 4 mod 5, not 3 + 2*4 = 1
+    assert f5.eval_poly_i([3], 2) == 3  # constant polynomial
+    assert f5.eval_poly_i([0, 1], 2) == 2  # identity polynomial
+    assert f5.eval_poly_i([], 2) == 0  # the empty list is the zero polynomial
     with pytest.raises(InvalidRange):
-        f5(7)
+        f5.eval_poly_i([1], 7)
+    with pytest.raises(InvalidRange):
+        f5.eval_poly_i([7], 1)
 
 
 def all_monic(p, deg):

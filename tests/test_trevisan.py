@@ -125,6 +125,13 @@ def test_verify_design_sampled_mode():
     assert report.passed
 
 
+@pytest.mark.parametrize("sample_size", [0, -1])
+def test_verify_design_sampled_mode_rejects_an_empty_sample(sample_size):
+    # 0 would report PASS after checking no index; -1 reached numpy's ValueError
+    with pytest.raises(InvalidRange, match=f"sample_size must be >= 1, got {sample_size}"):
+        verify_design(generate_design(50, 8), verify_cap=0, sample_size=sample_size)
+
+
 def test_weak_design_structural_validation():
     with pytest.raises(InvalidRange):
         WeakDesign([(0, 1), (0, 9)], seed_length=4)  # out of range

@@ -290,6 +290,14 @@ def test_random_mode_reproducible(thirdparty_bin):
     assert r1.rng_seed == 7
 
 
+def test_exhaustive_report_carries_no_rng_seed(thirdparty_bin):
+    # exhaustive mode enumerates every case and never reads rng_seed
+    report = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2)).validate(mode="exhaustive", rng_seed=5)
+    assert report.passed and report.total == 2**3 * 2**4
+    assert report.rng_seed is None
+    assert "(exhaustive mode, " in report.summary() and "rng_seed" not in report.summary()
+
+
 @pytest.mark.parametrize("ext", [ToeplitzExtractor(13, 5), ModifiedToeplitzExtractor(128, 64)])
 @pytest.mark.parametrize("rng_seed", [0, 7, 2025, 2**80 + 1])
 def test_random_case_is_n_then_d_bits_of_its_own_stream(ext, rng_seed):
