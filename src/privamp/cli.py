@@ -4,12 +4,11 @@ Every subcommand is a thin shell over the library: extraction, output
 length calculation, conformance validation of an external command, and
 test vector generation/verification.
 
-Exit codes: 0 success; 1 length mismatch or FFT precision loss; 2
-argument, range, parse or configuration errors; 3 validation or
+Exit codes: 0 success; 1 length mismatch, FFT precision loss, too little
+memory for the FFT workspace (InsufficientMemory) or a numpy MemoryError;
+2 argument, range, parse or configuration errors; 3 validation or
 verification failures; 4 adapter probe failure.  Each error class in
 :mod:`privamp.exceptions` carries its code as ``exit_code``.
-The PRIVAMP_WORKERS environment variable sets the default number of
-concurrent validation workers.
 """
 
 from __future__ import annotations
@@ -80,10 +79,8 @@ def _read_hex(value: str, length: int, what: str) -> BitString:
         value = _read_text(value[1:]).strip()
     try:
         return hex_decode(value, length)
-    except LengthMismatch:
-        raise LengthMismatch(
-            f"{what} must be {length} bits ({((length + 7) // 8) * 2} hex chars)"
-        ) from None
+    except LengthMismatch as exc:
+        raise LengthMismatch(f"{what}: {exc}") from None
 
 
 def cmd_extract(args) -> int:
@@ -198,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, help="make random mode reproducible")
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, help="per-case timeout (s)")
     p.add_argument("--workers", type=int,
-                   help=f"concurrent cases (default: $PRIVAMP_WORKERS or {DEFAULT_WORKERS})")
+                   help=f"concurrent cases (default: {DEFAULT_WORKERS})")
     p.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                    help="max input+seed bits for exhaustive mode")
     p.set_defaults(func=cmd_validate)

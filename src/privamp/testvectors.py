@@ -132,34 +132,33 @@ def _stack(values: list) -> np.ndarray:
 class TestVectorFile:
     """A test vector file: header comment lines, section name and cases as columns.
 
-    Row i of ``inputs`` and ``seeds`` is the case numbered ``counts[i]``.
+    Row i of ``inputs`` and ``seeds`` is the case numbered COUNT i.
     ``outputs`` holds the OUTPUT rows, in order, of the cases that
     ``has_output`` marks, and is None if no case carries one.  A file is
-    built from a list of :class:`Case`, stacked once, or from
-    ``columns=(inputs, seeds, outputs)`` numbered 0, 1, ..., where every
-    case carries an OUTPUT unless ``has_output`` says which do.
+    built from a list of :class:`Case` numbered 0, 1, ... in order,
+    stacked once, or from ``columns=(inputs, seeds, outputs)``, where
+    every case carries an OUTPUT unless ``has_output`` says which do.
     """
 
     def __init__(self, header, section, cases=(), extractor_config=None, *, columns=None,
                  has_output=None):
         self.header = header  # comment lines, without the leading "# "
         self.section, self.extractor_config = section, extractor_config
-        if columns is None:  # the cases, stacked once
-            self.counts = [c.count for c in cases]
-            self.has_output = np.array([c.output is not None for c in cases], dtype=bool)
+        if columns is None or not len(columns[0]):  # the cases, stacked once; no case, no widths
+            if any(case.count != row for row, case in enumerate(cases)):
+                raise InvalidRange(f"COUNTs must run 0, 1, ..., got {_first_counts([c.count for c in cases])}")
+            has_output = [c.output is not None for c in cases]
             outputs = [c.output for c in cases if c.output is not None]
             columns = (_stack([c.input for c in cases]), _stack([c.seed for c in cases]),
                        _stack(outputs) if outputs else None)
-        else:
-            self.counts = range(len(columns[0]))
-            every = np.full(len(columns[0]), columns[2] is not None)
-            self.has_output = every if has_output is None else has_output
+        every = np.full(len(columns[0]), columns[2] is not None)
+        self.has_output = every if has_output is None else np.asarray(has_output, dtype=bool)
         self.inputs, self.seeds, self.outputs = columns
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TestVectorFile):
             return NotImplemented
-        # by value, every attribute as an array: header, counts, columns and mask alike
+        # by value, every attribute as an array: header, columns and mask alike
         return all(np.array_equal(value, getattr(other, key)) for key, value in vars(self).items())
 
     @property
@@ -168,7 +167,7 @@ class TestVectorFile:
         outputs = iter(map(BitString._wrap, () if self.outputs is None else self.outputs))
         return [
             Case(k, BitString._wrap(x), BitString._wrap(y), next(outputs) if present else None)
-            for k, x, y, present in zip(self.counts, self.inputs, self.seeds, self.has_output)
+            for k, (x, y, present) in enumerate(zip(self.inputs, self.seeds, self.has_output))
         ]
 
     @property
@@ -179,7 +178,7 @@ class TestVectorFile:
         head = "".join(f"# {h}\n" if h else "#\n" for h in self.header) + f"\n[{self.section}]\n"
         outputs = iter(() if self.outputs is None else _hex_rows(self.outputs))
         tails = ["OUTPUT = " + next(outputs) + "\n" if p else "" for p in self.has_output.tolist()]
-        rows = zip(self.counts, _hex_rows(self.inputs), _hex_rows(self.seeds), tails)
+        rows = zip(range(len(tails)), _hex_rows(self.inputs), _hex_rows(self.seeds), tails)
         return head + "".join(f"\nCOUNT = {k}\nINPUT = {x}\nSEED = {y}\n{t}" for k, x, y, t in rows)
 
 
@@ -408,13 +407,13 @@ def _first_counts(counts: list) -> str:
 
 def verify_response_file(ext: SeededExtractor, file: TestVectorFile) -> VectorVerification:
     """Recompute every case of a response file with the reference extractor."""
-    missing = [file.counts[i] for i in np.flatnonzero(~file.has_output)]
+    missing = np.flatnonzero(~file.has_output).tolist()
     if missing:
         raise MissingOutputs(f"COUNT(s) {_first_counts(missing)} have no OUTPUT (request file?)")
-    if not file.counts:  # no columns to hash: an empty file's are (0, 0)
+    if not len(file.inputs):  # no columns to hash: an empty file's are (0, 0)
         return VectorVerification(0)
     hashed = ext.extract_many(file.inputs, file.seeds)
     wrong = np.ones(len(hashed), dtype=bool)  # outputs of another width than ext's all fail
     if hashed.shape == np.shape(file.outputs):
         wrong = (hashed != file.outputs).any(axis=1)
-    return VectorVerification(len(hashed), [file.counts[i] for i in np.flatnonzero(wrong)])
+    return VectorVerification(len(hashed), np.flatnonzero(wrong).tolist())

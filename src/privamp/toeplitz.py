@@ -31,7 +31,7 @@ forward, one thread per CPU: M+2K-1 forward, M inverse transforms.  Cost:
 multiply-adds in the MK block products, quadratic in n.  Memory: one workspace
 of 16(b+1)(K+R+2c) + m bytes on c CPUs, allocated and checked before the first
 transform: the X_j reversed, a ring of R = min(M+K-1, K+2g-1) windows, a frame
-and a sum per thread, the output; frames read y in place (no d); +8b to round.
+and a sum per thread, the output; frames read y in place (no d).
 
 Exactness (Percival, Math. Comp. 72, 2003, Thm. 5.1): a radix-2 cyclic
 convolution of a and c on 2^n points in binary64 (u = 2^-53, twiddles
@@ -140,9 +140,9 @@ def _block_exact(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8)[(k - 1) * slot : q * slot : slot] & 1
 
 
-def _rounded_bits(window: np.ndarray) -> np.ndarray:
-    """Low bits of the integers nearest to ``window``, overwritten; PrecisionLoss unless all < 0.25 away."""
-    rounded = np.rint(window)
+def _rounded_bits(window: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """Low bits of the integers nearest ``window`` (overwritten), in ``spare``; PrecisionLoss unless all < 0.25 away."""
+    rounded = np.rint(window, out=spare)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
         residual = float(np.abs(np.subtract(window, rounded, out=window), out=window).max())
     if not residual < 0.25:
@@ -207,8 +207,8 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
         np.einsum("jf,jf->f", ring[s : s + kb], xr[: r - s], out=acc)
         if s + kb > r:
             acc += np.einsum("jf,jf->f", ring[: s + kb - r], xr[r - s :], out=frame)
-        window = np.fft.irfft(acc, 2 * b, out=frame.view(float)[: 2 * b])[b - 1 : -1]
-        out[lo : lo + b] = _rounded_bits(window[: m - lo])
+        window = np.fft.irfft(acc, 2 * b, out=frame.view(float)[: 2 * b])[b - 1 : -1][: m - lo]
+        out[lo : lo + b] = _rounded_bits(window, acc.view(float)[: len(window)])  # irfft is done with acc
 
     with ThreadPoolExecutor(cpus, initializer=lambda: setattr(local, "work", slots.pop())) as pool:
         top, jobs = 0, [pool.submit(forward, xr[j], k - (j + 1) * b, k - j * b, x, 0) for j in range(kb)]

@@ -44,9 +44,6 @@ from .extractor import SeededExtractor
 FORMATS = ("binary-string", "hex")
 PLACEHOLDERS = ("$INPUT$", "$SEED$")
 
-#: Environment variable consulted for the default worker count.
-WORKERS_ENV = "PRIVAMP_WORKERS"
-
 DEFAULT_EXHAUSTIVE_CAP = 24
 DEFAULT_FAILURE_CAP = 10_000
 DEFAULT_TIMEOUT = 30.0
@@ -122,7 +119,8 @@ class ImplementationAdapter:
     replaced by the serialized values (stdio mode) or by paths to files
     holding them (files mode).  In files mode the output is read from
     ``output_path``, or from a temporary file substituted for an
-    $OUTPUT$ placeholder when present.
+    $OUTPUT$ placeholder when present.  Its stdin is empty, so a command
+    that reads it gets end of file, never the caller's input.
     """
 
     label: str
@@ -204,7 +202,8 @@ class ImplementationAdapter:
         # the group also ends whatever the command started (a shell's children, say)
         try:
             proc = subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+                argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                start_new_session=True,
             )
         except OSError as exc:
             raise AdapterCrashed(f"could not launch {argv[0]!r}: {exc}") from exc
@@ -360,13 +359,7 @@ class Validator:
             total = sample_size
         else:
             raise InvalidRange(f"unknown mode {mode!r}")
-        if workers is None:
-            raw = os.environ.get(WORKERS_ENV, str(DEFAULT_WORKERS))
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise InvalidRange(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-        return total, max(1, workers)
+        return total, max(1, DEFAULT_WORKERS if workers is None else workers)
 
     def validate(
         self,
@@ -385,7 +378,8 @@ class Validator:
         report is exactly reproducible given ``rng_seed``.  Crashed
         cases are recorded, not fatal.  ``timeout`` (seconds per case)
         must lie in (0, 2147483], the longest wait that
-        ``Popen.communicate`` and poll() can take.
+        ``Popen.communicate`` and poll() can take.  ``workers`` cases run
+        at once, :data:`DEFAULT_WORKERS` if None.
         """
         adapter = self._resolve(label)
         total, workers = self._check_run(mode, sample_size, rng_seed, timeout, workers)

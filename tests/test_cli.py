@@ -58,6 +58,7 @@ def test_extract_wrong_seed_length(capsys):
     )
     assert code == 1
     assert "127 bits" in err
+    assert err == "error: seed: expected 32 hex chars for 127 bits, got 4\n"  # the codec's message
 
 
 def test_extract_writes_output_file(capsys, tmp_path):
@@ -279,29 +280,15 @@ def test_validate_unlaunchable_exits_4(capsys):
     assert "probe" in err
 
 
-def test_validate_bad_worker_env_exits_2(thirdparty_bin, capsys, monkeypatch):
-    monkeypatch.setenv("PRIVAMP_WORKERS", "four")
-    code, _, err = run(
-        capsys,
-        "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
-        "--command", thirdparty_command(thirdparty_bin, "toeplitz", 3, 2),
-    )
-    assert code == 2
-    assert "PRIVAMP_WORKERS" in err and "'four'" in err
-
-
-@pytest.mark.parametrize("args, workers, message", [
-    (["--timeout", "0"], None, "timeout must lie in"),
-    (["--mode", "random", "--samples", "4", "--rng-seed", "-1"], None, "rng_seed must be >= 0"),
-    (["--mode", "random"], None, "random mode needs sample_size"),
-    (["--mode", "random", "--samples", "0"], None, "random mode needs sample_size"),
-    (["--exhaustive-cap", "6"], None, "exhaustive mode needs input+seed <= 6"),
-    ([], "four", "PRIVAMP_WORKERS must be an integer"),
-], ids=["timeout", "rng-seed", "no-samples", "zero-samples", "exhaustive-cap", "workers-env"])
-def test_validate_argument_errors_exit_2_before_the_probe(capsys, monkeypatch, args, workers, message):
+@pytest.mark.parametrize("args, message", [
+    (["--timeout", "0"], "timeout must lie in"),
+    (["--mode", "random", "--samples", "4", "--rng-seed", "-1"], "rng_seed must be >= 0"),
+    (["--mode", "random"], "random mode needs sample_size"),
+    (["--mode", "random", "--samples", "0"], "random mode needs sample_size"),
+    (["--exhaustive-cap", "6"], "exhaustive mode needs input+seed <= 6"),
+], ids=["timeout", "rng-seed", "no-samples", "zero-samples", "exhaustive-cap"])
+def test_validate_argument_errors_exit_2_before_the_probe(capsys, args, message):
     # the probe would sleep 2 s: a bad argument must be reported without launching it
-    if workers is not None:
-        monkeypatch.setenv("PRIVAMP_WORKERS", workers)
     started = time.perf_counter()
     code, out, err = run(
         capsys,
@@ -456,11 +443,11 @@ def test_validate_defaults_come_from_the_validator(capsys):
     args = build_parser().parse_args(argv)
     assert args.exhaustive_cap == validator.DEFAULT_EXHAUSTIVE_CAP
     assert args.timeout == validator.DEFAULT_TIMEOUT
-    assert args.workers is None  # validate then reads $PRIVAMP_WORKERS or DEFAULT_WORKERS
+    assert args.workers is None  # validate then runs DEFAULT_WORKERS
     with pytest.raises(SystemExit):
         build_parser().parse_args(["validate", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it
-    assert f"$PRIVAMP_WORKERS or {validator.DEFAULT_WORKERS})" in help_text
+    assert f"concurrent cases (default: {validator.DEFAULT_WORKERS})" in help_text
 
 
 def test_validate_random_needs_samples(thirdparty_bin, capsys):

@@ -13,12 +13,14 @@ PACKAGE_DIR = pathlib.Path(privamp.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
 
 # the second field interface and the aliases deleted with it; integer
-# encodings with GF(q).add_i/mul_i/inv_i/pow_i/eval_poly_i replace them
+# encodings with GF(q).add_i/mul_i/inv_i/pow_i/eval_poly_i replace them.
+# The worker count's environment variable: the workers= argument replaces it
 REMOVED = {
     "privamp": ["FieldElement", "field_add", "field_mul", "field_eval_poly", "Gf2Vector", "Gf2Matrix"],
     "privamp.fields": ["FieldElement", "field_add", "field_mul", "field_eval_poly", "FieldMismatch"],
     "privamp.bits": ["Gf2Vector", "Gf2Matrix"],
     "privamp.exceptions": ["FieldMismatch"],
+    "privamp.validator": ["WORKERS_ENV"],
 }
 
 
@@ -57,3 +59,38 @@ def test_galois_field_has_one_interface():
     # integer-encoded methods only: no element wrapper, no subtraction, identity equality
     for name in ("__call__", "sub_i", "_add_signed", "__eq__", "__hash__"):
         assert name not in vars(GaloisField), name
+
+
+def test_the_package_reads_no_environment_variable():
+    # every setting is an argument: a value read from the environment is a second source
+    reads = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} os.{a.name}" for a in node.names
+                          if a.name in ("environ", "getenv")]
+    assert not reads, ", ".join(reads)
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    # a function or class that nothing names, in the package, its tests or its
+    # benchmark, is dead code
+    roots = [PACKAGE_DIR, PACKAGE_DIR.parents[1] / "tests", PACKAGE_DIR.parents[1] / "perfbench"]
+    named = set()
+    for path in (p for root in roots for p in root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    unnamed = [
+        f"{path.name}: {node.name}"
+        for path in MODULES if path.name != "__main__.py"
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+    assert not unnamed, ", ".join(unnamed)

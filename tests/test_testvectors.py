@@ -178,6 +178,42 @@ def test_parse_of_render_is_identity(file):
     assert parse_vector_file(file.render()) == file
 
 
+@st.composite
+def constructed_files(draw):
+    """A file the constructor accepts: standard or modified Toeplitz up to n = 40, 0 to 30
+    cases with every, no or some OUTPUT, built from ``cases=`` or from ``columns=``."""
+    from privamp.testvectors import Case, TestVectorFile
+
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        ext = ToeplitzExtractor(n, draw(st.integers(1, n)))
+    else:
+        ext = ModifiedToeplitzExtractor(n, draw(st.integers(1, n - 1)))
+    count, m = draw(st.integers(0, 30)), ext.output_length
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
+    ys = rng.integers(0, 2, size=(count, ext.seed_length), dtype=np.uint8)
+    has_output = {"rsp": np.ones(count, bool), "req": np.zeros(count, bool),
+                  "partial": rng.random(count) < 0.5}[draw(st.sampled_from(["rsp", "req", "partial"]))]
+    outputs = rng.integers(0, 2, size=(int(has_output.sum()), m), dtype=np.uint8)
+    outputs = outputs if has_output.any() else None  # None when no case carries an OUTPUT
+    header = ["CAVS", ext.vector_name, f"Input Length : {n}", f"Output Length : {m}"]
+    config = VectorConfig(ext.vector_name, n, m)
+    if draw(st.booleans()):
+        return TestVectorFile(header, "EXTRACT", extractor_config=config, columns=(xs, ys, outputs),
+                              has_output=has_output)
+    rows = iter(() if outputs is None else outputs)
+    cases = [Case(k, BitString(x), BitString(y), BitString(next(rows)) if present else None)
+             for k, (x, y, present) in enumerate(zip(xs, ys, has_output))]
+    return TestVectorFile(header, "EXTRACT", cases, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(constructed_files())
+def test_every_constructed_file_reads_back_equal(file):
+    assert parse_vector_file(file.render()) == file
+
+
 _MUTATION_CHARS = "0123456789abcdefgABZ #:=[]/-\n\t\x00é"
 
 
@@ -804,6 +840,20 @@ def test_partial_outputs_round_trip_with_a_mask():
     assert file.kind == "req"
     assert file.render() == text and file == oracle_parse(text)
     assert file.cases[700].output is None and file.cases[701].output is not None
+
+
+def test_a_case_list_is_numbered_by_its_rows():
+    # COUNT is the row: a file of Case(5, ...) would verify and render, then fail to parse
+    from privamp.testvectors import Case, TestVectorFile
+
+    ext, x, y = ToeplitzExtractor(4, 2), BitString("0101"), BitString("11011")
+    case = Case(5, x, y, ext.extract(x, y))
+    with pytest.raises(InvalidRange, match=r"^COUNTs must run 0, 1, \.\.\., got 5$"):
+        TestVectorFile(["CAVS"], "EXTRACT", [case])
+    with pytest.raises(InvalidRange, match=r"got 0, 2$"):
+        TestVectorFile(["CAVS"], "EXTRACT", [Case(0, x, y), Case(2, x, y)])
+    file = TestVectorFile(["CAVS"], "EXTRACT", [Case(0, x, y), Case(1, x, y)])
+    assert [c.count for c in file.cases] == [0, 1] and not hasattr(file, "counts")
 
 
 def test_cases_of_different_widths_cannot_make_a_file():

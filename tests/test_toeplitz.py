@@ -350,9 +350,9 @@ def test_fft_error_within_bound(monkeypatch, m, k, blocks):
     residuals = []
     real_rounded_bits = toeplitz._rounded_bits
 
-    def spy(window):
+    def spy(window, spare=None):
         residuals.append(float(np.abs(window - np.rint(window)).max()))
-        return real_rounded_bits(window)
+        return real_rounded_bits(window, spare)
 
     monkeypatch.setattr(toeplitz, "_rounded_bits", spy)
     rng = np.random.default_rng(k)
@@ -569,6 +569,28 @@ def test_modified_extract_peaks_at_its_workspace(monkeypatch, workers):
     # and other small objects (the peak is 46-62 KiB above the workspace at 1-3 workers)
     bound = workspace_bytes(b, mb, kb, workers) + 8 * b * workers + (32 << 10)
     assert peak <= bound, f"peak {peak} bytes, bound {bound}"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_partitioned_extract_allocates_nothing_past_its_workspace(monkeypatch, workers):
+    # an output block rounds into its thread's sum, which irfft has read: no 8b-byte
+    # temporary.  Slack: 32 KiB and 4 KiB a thread of futures, threads and other small
+    # objects (the peak is 24-36 KiB above the workspace at 1-3 workers)
+    b, mb, kb = 4096, 32, 4
+    monkeypatch.setattr(toeplitz, "_BLOCK", b)
+    pin_workers(monkeypatch, workers)
+    ext, x, y = partitioned_case(b, mb, kb, workers)
+    expected = ext.extract(x, y, method="exact")
+    ext.extract(x, y)  # first, so that imports (numpy.fft is lazy) are not traced
+    tracemalloc.start()
+    try:
+        out = ext.extract(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == expected
+    excess = peak - workspace_bytes(b, mb, kb, workers)
+    assert excess <= (32 << 10) + (4 << 10) * workers, f"{excess} bytes past the workspace"
 
 
 def test_partitioned_fft_fails_loudly_before_the_first_transform(monkeypatch):

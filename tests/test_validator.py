@@ -408,6 +408,31 @@ def test_clean_exit_kills_background_jobs(tmp_path):
     assert not marker.exists()
 
 
+def test_a_case_reads_an_empty_stdin():
+    # a child process runs one case with "x\n" waiting on its own, still open, stdin:
+    # the command must get end of file, not the caller's input (nor wait for more)
+    script = (
+        "from privamp import BitString, ImplementationAdapter\n"
+        "adapter = ImplementationAdapter(label='reader', serializers={},\n"
+        "    command=\"sh -c 'if read line; then echo 0; else echo 1; fi'\")\n"
+        "print(adapter.run_case(BitString('01'), BitString('1'), 1, timeout=5.0).to01())\n"
+    )
+    src = os.path.dirname(os.path.dirname(sys.modules["privamp"].__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-c", script], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    try:
+        child.stdin.write(b"x\n")
+        child.stdin.flush()
+        assert child.wait(timeout=60) == 0
+        assert child.stdout.read() == b"1\n"
+    finally:
+        child.kill()
+        child.stdin.close()
+        child.stdout.close()
+
+
 def _has_pidfd():
     try:
         os.close(os.pidfd_open(os.getpid()))
@@ -585,13 +610,14 @@ def test_label_resolution_with_multiple_implementations(thirdparty_bin):
     assert report.passed and report.label == "good"
 
 
-def test_worker_count_env_default(thirdparty_bin, monkeypatch):
-    from privamp.validator import WORKERS_ENV
+def test_worker_count_is_an_argument(monkeypatch):
+    # None runs DEFAULT_WORKERS whatever the environment holds; fewer than 1 runs 1
+    from privamp.validator import DEFAULT_WORKERS
 
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    validator = make_validator(thirdparty_bin, ToeplitzExtractor(2, 1), probe=False)
-    report = validator.validate(mode="random", sample_size=4, rng_seed=0)
-    assert report.total == 4 and report.passed
+    monkeypatch.setenv("PRIVAMP_WORKERS", "1")
+    validator = Validator(ToeplitzExtractor(2, 1))
+    assert validator._check_run("random", 4, 0, 1.0, None) == (4, DEFAULT_WORKERS)
+    assert validator._check_run("random", 4, 0, 1.0, 0) == (4, 1)
 
 
 def test_validate_queues_at_most_one_chunk(thirdparty_bin, monkeypatch):
