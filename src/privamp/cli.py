@@ -125,6 +125,7 @@ def cmd_validate(args) -> int:
         serializers={"$INPUT$": args.input_format, "$SEED$": args.seed_format},
         output_parser=args.output_format,
         output_path=args.output_path,
+        timeout=args.timeout,
     )
     report = validator.validate(**run)
     print(report.summary())

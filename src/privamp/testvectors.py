@@ -154,6 +154,11 @@ class TestVectorFile:
         every = np.full(len(columns[0]), columns[2] is not None)
         self.has_output = every if has_output is None else np.asarray(has_output, dtype=bool)
         self.inputs, self.seeds, self.outputs = columns
+        names = ("input", "seed", "output") if extractor_config is not None and len(self.inputs) else ()
+        for name, column in zip(names, columns):  # the seed length is read once the inputs match
+            width = getattr(extractor_config, f"{name}_length")
+            if column is not None and column.shape[1] != width:
+                raise LengthMismatch(f"{name}s are {column.shape[1]} bits, the configuration says {width}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TestVectorFile):
@@ -202,6 +207,7 @@ def generate_test_vectors(
     # parameter values live in text headers, so they are carried as strings
     params = tuple((k, str(v)) for k, v in ext.header_params().items())
     config = VectorConfig(ext.vector_name, n, ext.output_length, params)
+    vars(config)["extractor"] = ext  # the cached property: ext is not built a second time
     # BitString.random draws its bytes from whole 32-bit words, dropping the
     # rest of the last one: one draw of both widths rounded up to 4 per case
     # gives the bits of the per-case calls, and so does one draw of all cases

@@ -50,43 +50,12 @@ DEFAULT_TIMEOUT = 30.0
 DEFAULT_WORKERS = 4
 
 _CHUNK = 1024  # cases queued at once: Executor.map submits all it is given up front
-_MAX_TIMEOUT = 2_147_483  # seconds: communicate and poll() wait with a C int of milliseconds
+_MAX_TIMEOUT = 2_147_483  # seconds: poll() waits with a C int of milliseconds
 
 
-def _communicate(proc: subprocess.Popen, timeout: float) -> tuple:
-    """``proc.communicate(timeout=timeout)``, woken by the exit itself where a pidfd can be had.
-
-    After the pipes close, ``Popen.wait(timeout)`` polls the child with
-    ``time.sleep``, ~1 ms a case.  A pidfd is readable once the child has
-    exited, so one poll() loop reads both pipes and waits for the exit under
-    one deadline.  Without ``os.pidfd_open``, or where it fails, this is
-    ``communicate``.
-    """
-    try:
-        pidfd = os.pidfd_open(proc.pid)
-    except (AttributeError, OSError):
-        return proc.communicate(timeout=timeout)
-    deadline = time.monotonic() + timeout
-    chunks = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
-    try:
-        with selectors.PollSelector() as sel:
-            for fd in (*chunks, pidfd):
-                sel.register(fd, selectors.EVENT_READ)
-            while sel.get_map():
-                remaining = deadline - time.monotonic()
-                ready = sel.select(remaining) if remaining > 0 else []
-                if not ready:
-                    raise subprocess.TimeoutExpired(proc.args, timeout)
-                for key, _ in ready:
-                    data = os.read(key.fd, 32768) if key.fd != pidfd else b""
-                    if data:
-                        chunks[key.fd].append(data)
-                    else:  # end of file, or the child has exited
-                        sel.unregister(key.fd)
-    finally:
-        os.close(pidfd)
-    proc.wait(max(0.0, deadline - time.monotonic()))  # reaps the exited child at once
-    return tuple(b"".join(parts) for parts in chunks.values())
+def _check_timeout(timeout: float) -> None:
+    if not 0 < timeout <= _MAX_TIMEOUT:
+        raise InvalidRange(f"timeout must lie in (0, {_MAX_TIMEOUT}] s, got {timeout}")
 
 
 def _serialize(value: BitString, fmt: str) -> str:
@@ -161,7 +130,8 @@ class ImplementationAdapter:
             raise AdapterConfigError("$OUTPUT$ and output_path are for files mode only")
 
     def run_case(self, x: BitString, y: BitString, output_length: int, timeout: float) -> BitString:
-        """Invoke the implementation once; raises AdapterCrashed on any failure."""
+        """Invoke the implementation once: AdapterCrashed on any failure, InvalidRange for a timeout."""
+        _check_timeout(timeout)
         values = {"$INPUT$": x, "$SEED$": y}
         if self.input_method == "stdio":
             argv = self._argv(
@@ -207,16 +177,38 @@ class ImplementationAdapter:
             )
         except OSError as exc:
             raise AdapterCrashed(f"could not launch {argv[0]!r}: {exc}") from exc
-        with proc:
+        deadline = time.monotonic() + timeout
+        chunks = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
+        pidfds = []  # readable once the child has exited, so the loop then waits for the exit too
+        with contextlib.suppress(AttributeError, OSError):  # no pidfd_open, or it failed
+            pidfds.append(os.pidfd_open(proc.pid))
+        with proc, selectors.PollSelector() as sel:
             try:
-                stdout, stderr = _communicate(proc, timeout)
+                for fd in (*chunks, *pidfds):
+                    sel.register(fd, selectors.EVENT_READ)
+                while sel.get_map():
+                    remaining = deadline - time.monotonic()
+                    ready = sel.select(remaining) if remaining > 0 else []
+                    if not ready:
+                        raise subprocess.TimeoutExpired(argv, timeout)
+                    for key, _ in ready:
+                        data = os.read(key.fd, 32768) if key.fd in chunks else b""
+                        if data:
+                            chunks[key.fd].append(data)
+                        else:  # end of file, or the child has exited
+                            sel.unregister(key.fd)
+                # at once after a pidfd; through Popen.wait's sleep loop without one
+                proc.wait(max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired as exc:
                 raise AdapterCrashed(f"timed out after {timeout} s") from exc
             finally:
+                for fd in pidfds:
+                    os.close(fd)
                 # the group ends with the case, also when the command exits
                 # and leaves a background job behind
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
+        stdout, stderr = (b"".join(parts) for parts in chunks.values())
         if proc.returncode != 0:
             message = stderr.decode(errors="replace").strip()[:200]
             raise AdapterCrashed(f"exit code {proc.returncode}: {message}")
@@ -293,13 +285,14 @@ class Validator:
         self.implementations: dict[str, ImplementationAdapter] = {}
 
     def add_implementation(
-        self, adapter: ImplementationAdapter | None = None, probe: bool = True, **kwargs
+        self, adapter: ImplementationAdapter | None = None, probe: bool = True,
+        timeout: float = DEFAULT_TIMEOUT, **kwargs
     ):
         """Register an adapter (or keyword arguments building one).
 
         A probe invocation with all-zero input and seed checks that the
         process launches and produces parseable output of the right
-        length; ProbeFailed is raised otherwise.
+        length within ``timeout`` seconds; ProbeFailed is raised otherwise.
         """
         if adapter is None:
             adapter = ImplementationAdapter(**kwargs)
@@ -309,7 +302,7 @@ class Validator:
             x = BitString.zeros(self.reference.input_length)
             y = BitString.zeros(self.reference.seed_length)
             try:
-                adapter.run_case(x, y, self.reference.output_length, DEFAULT_TIMEOUT)
+                adapter.run_case(x, y, self.reference.output_length, timeout)
             except AdapterCrashed as exc:
                 raise ProbeFailed(f"probe of {adapter.label!r} failed: {exc}") from exc
         self.implementations[adapter.label] = adapter
@@ -342,8 +335,7 @@ class Validator:
         It launches nothing, so the command line checks its arguments
         with it before :meth:`add_implementation` probes the command.
         """
-        if not 0 < timeout <= _MAX_TIMEOUT:
-            raise InvalidRange(f"timeout must lie in (0, {_MAX_TIMEOUT}] s, got {timeout}")
+        _check_timeout(timeout)
         if rng_seed is not None and rng_seed < 0:
             raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
         n, d = self.reference.input_length, self.reference.seed_length
@@ -377,9 +369,8 @@ class Validator:
         ``sample_size`` pairs from a per-index seeded generator, so a
         report is exactly reproducible given ``rng_seed``.  Crashed
         cases are recorded, not fatal.  ``timeout`` (seconds per case)
-        must lie in (0, 2147483], the longest wait that
-        ``Popen.communicate`` and poll() can take.  ``workers`` cases run
-        at once, :data:`DEFAULT_WORKERS` if None.
+        must lie in (0, 2147483], the longest wait that poll() can take.
+        ``workers`` cases run at once, :data:`DEFAULT_WORKERS` if None.
         """
         adapter = self._resolve(label)
         total, workers = self._check_run(mode, sample_size, rng_seed, timeout, workers)

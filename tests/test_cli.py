@@ -237,7 +237,7 @@ def test_validate_non_positive_timeout_exits_2(thirdparty_bin, capsys, timeout):
 
 @pytest.mark.parametrize("timeout", ["inf", "1e9"])
 def test_validate_timeout_above_ceiling_exits_2(thirdparty_bin, capsys, timeout):
-    # Popen.communicate cannot wait longer than 2**31-1 ms
+    # poll() cannot wait longer than 2**31-1 ms
     code, out, err = run(
         capsys,
         "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
@@ -297,6 +297,19 @@ def test_validate_argument_errors_exit_2_before_the_probe(capsys, args, message)
     )
     assert time.perf_counter() - started < 1
     assert (code, out) == (2, "") and message in err
+
+
+def test_validate_probe_waits_at_most_the_timeout(capsys):
+    # the all-zero probe sleeps 3 s: it times out after --timeout, not after the default 30 s
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
+        "--command", "sh -c 'sleep 3; echo 00' $SEED$ $INPUT$", "--timeout", "0.5",
+        "--mode", "random", "--samples", "2", "--rng-seed", "0",
+    )
+    assert time.perf_counter() - started < 2
+    assert (code, out) == (4, "") and "timed out after 0.5 s" in err
 
 
 # -- vectors ------------------------------------------------------------------

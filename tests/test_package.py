@@ -74,6 +74,25 @@ def test_the_package_reads_no_environment_variable():
     assert not reads, ", ".join(reads)
 
 
+def test_every_process_starts_with_an_empty_stdin_in_a_session_of_its_own():
+    # an empty stdin keeps a case from reading the caller's input, a session from
+    # outliving its process group; one wait loop reads the pipes, never communicate
+    popens, communicates = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name, where = ast.unparse(node.func).split(".")[-1], f"{path.name}:{node.lineno}"
+            if name == "communicate":
+                communicates.append(where)
+            elif name == "Popen":
+                popens.append(where)
+                keywords = {k.arg: ast.unparse(k.value) for k in node.keywords}
+                assert keywords.get("stdin") == "subprocess.DEVNULL", where
+                assert keywords.get("start_new_session") == "True", where
+    assert popens and not communicates, communicates
+
+
 def test_every_module_level_definition_is_named_elsewhere():
     # a function or class that nothing names, in the package, its tests or its
     # benchmark, is dead code

@@ -863,3 +863,39 @@ def test_cases_of_different_widths_cannot_make_a_file():
     cases = [Case(0, BitString("0101"), BitString("11")), Case(1, BitString("010"), BitString("11"))]
     with pytest.raises(LengthMismatch):
         TestVectorFile(["CAVS"], "EXTRACT", cases)
+
+
+def test_a_file_is_as_wide_as_its_configuration():
+    # such a file would render, but its text would not parse
+    from privamp.exceptions import LengthMismatch
+    from privamp.testvectors import Case, TestVectorFile
+
+    case = Case(0, BitString.zeros(8), BitString.zeros(7))
+    with pytest.raises(LengthMismatch, match="^inputs are 8 bits, the configuration says 128$"):
+        TestVectorFile(["CAVS"], "EXTRACT", [case], VectorConfig("ModifiedToeplitzHashing", 128, 64))
+    config = VectorConfig("ToeplitzHashing", 8, 4)  # seeds of 8 + 4 - 1 bits
+    xs, ys, outputs = (np.zeros((2, width), np.uint8) for width in (8, 11, 4))
+    for columns, message in [((xs[:, 1:], ys, outputs), "inputs are 7 bits"),
+                             ((xs, ys[:, 1:], outputs), "seeds are 10 bits"),
+                             ((xs, ys, outputs[:, 1:]), "outputs are 3 bits")]:
+        with pytest.raises(LengthMismatch, match=f"^{message}, the configuration says"):
+            TestVectorFile(["CAVS"], "EXTRACT", extractor_config=config, columns=columns)
+    file = TestVectorFile(["CAVS"], "EXTRACT", extractor_config=config, columns=(xs, ys, outputs))
+    assert parse_vector_file(file.render(), config) == file
+
+
+def test_a_trevisan_file_is_generated_with_one_design_build(monkeypatch):
+    # the header's configuration is handed the extractor, not left to build it again
+    from privamp.trevisan import FiniteFieldPolynomialDesign
+
+    builds, init = [], FiniteFieldPolynomialDesign.__init__
+
+    def counted(self, m, t):
+        builds.append((m, t))
+        init(self, m, t)
+
+    monkeypatch.setattr(FiniteFieldPolynomialDesign, "__init__", counted)
+    ext = TrevisanExtractor.create(input_length=16, output_length=2, one_bit_extractor_seed_length=2)
+    file = generate_test_vectors(ext, count=4, rng_seed=1)
+    assert file.extractor_config.seed_length == ext.seed_length
+    assert builds == [(2, 2)] and file.extractor_config.extractor is ext

@@ -229,10 +229,28 @@ def test_validate_rejects_non_positive_timeout(thirdparty_bin, timeout):
 
 
 def test_validate_accepts_the_timeout_ceiling(thirdparty_bin):
-    # the ceiling itself must not overflow Popen.communicate's millisecond poll
+    # the ceiling itself must not overflow poll()'s milliseconds
     validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
     report = validator.validate(mode="random", sample_size=1, rng_seed=0, timeout=2_147_483)
     assert report.passed
+
+
+@pytest.mark.parametrize("timeout", [0, 1e9])
+def test_run_case_refuses_a_timeout_out_of_range_before_launching(monkeypatch, timeout):
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: pytest.fail("launched"))
+    adapter = ImplementationAdapter(label="echo", command="echo 0", serializers={})
+    with pytest.raises(InvalidRange, match=r"^timeout must lie in \(0, 2147483\] s"):
+        adapter.run_case(BitString("01"), BitString("1"), 1, timeout=timeout)
+
+
+def test_the_probe_waits_at_most_its_timeout():
+    validator = Validator(ToeplitzExtractor(2, 1))
+    started = time.monotonic()
+    with pytest.raises(ProbeFailed, match="timed out after 0.2 s$"):
+        validator.add_implementation(
+            label="sleeper", command="sh -c 'sleep 3; echo 0'", serializers={}, timeout=0.2,
+        )
+    assert time.monotonic() - started < 1.5 and not validator.implementations
 
 
 def test_random_mode_needs_sample_size(thirdparty_bin):
@@ -483,7 +501,7 @@ def test_every_wait_path_gives_the_same_results(thirdparty_bin, wait_path, monke
     )
     with pytest.raises(AdapterCrashed, match="^exit code 3: \ufffd oops$"):
         failing.run_case(BitString("01"), BitString("1"), 1, timeout=5.0)
-    assert timeouts == ([] if path == "pidfd" else [5.0] * 21)  # the pidfd path never falls back
+    assert timeouts == []  # one loop waits on every path: Popen.communicate never runs
 
 
 def test_a_child_that_closes_its_pipes_still_times_out(tmp_path, wait_path):
@@ -500,7 +518,20 @@ def test_a_child_that_closes_its_pipes_still_times_out(tmp_path, wait_path):
     assert time.monotonic() - started < 1.5
     time.sleep(max(0.0, started + 2.5 - time.monotonic()))
     assert not marker.exists()
-    assert timeouts == ([] if path == "pidfd" else [0.3])
+    assert timeouts == []
+
+
+def test_a_child_that_fills_both_pipes_ends_with_its_exit_code(wait_path):
+    # 300 KB on stderr, then 300 KB on stdout, each more than a pipe holds: a wait
+    # that drained one pipe before the other would deadlock until the deadline
+    script = "import os; os.write(2, b'e' * 300_000); os.write(1, b'o' * 300_000); os._exit(3)"
+    adapter = ImplementationAdapter(
+        label="flood", command=f'{sys.executable} -S -c "{script}"', serializers={},
+    )
+    started = time.monotonic()
+    with pytest.raises(AdapterCrashed, match=f"^exit code 3: {'e' * 200}$"):
+        adapter.run_case(BitString("01"), BitString("1"), 1, timeout=5.0)
+    assert time.monotonic() - started < 5.0
 
 
 def test_files_mode_round_trip(thirdparty_bin, tmp_path):
