@@ -1,13 +1,14 @@
 """Finite field arithmetic with integer-encoded elements.
 
-Elements of GF(p^e) are encoded as integers in [0, q): writing the
-integer in base p, digit k is the coefficient of x^k in the polynomial
-representation.  For prime fields this is the usual residue; for binary
-fields the encoding coincides with the bit pattern of the coefficient
-vector.  Addition and multiplication are true field operations —
-multiplication is never a bare left shift and addition is never a
-bitwise OR, which are correct only in degenerate power-of-two settings
-and silently wrong elsewhere.
+GF(q) is provided for q prime or a power of two, the orders an
+extractor reaches: a design over GF(t) needs a prime power t, and
+Trevisan's one-bit seed length t is also even, so t = 2^e.  Elements
+are encoded as integers in [0, q).  For prime fields this is the usual
+residue; for GF(2^l), bit k of the encoding is the coefficient of x^k
+in the polynomial representation.  Addition and multiplication are
+true field operations — multiplication is never a bare left shift and
+addition is never a bitwise OR, which are correct only in degenerate
+power-of-two settings and silently wrong elsewhere.
 
 Reduction polynomials are chosen deterministically: the monic
 irreducible polynomial of the right degree with the least integer
@@ -23,9 +24,9 @@ encoding ("lexicographically least").  For GF(2^l):
     7   x^7 + x + 1             0x83
     8   x^8 + x^4 + x^3 + x + 1 0x11b
 
-Higher degrees and odd characteristics are found by the same search at
-construction time and cached.  Each candidate is tested with Ben-Or's
-irreducibility test (Ben-Or, FOCS 1981).
+Higher degrees are found by the same search at construction time and
+cached.  Each candidate, a polynomial over GF(2) held as an int, is
+tested with Ben-Or's irreducibility test (Ben-Or, FOCS 1981).
 """
 
 from __future__ import annotations
@@ -66,89 +67,56 @@ def _digits(n: int, p: int, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- dense polynomials over GF(p), ascending coefficient tuples --------
+# -- polynomials over GF(2) as ints: bit k is the coefficient of x^k ----
+
+#: byte b with its bit k moved to bit 2k: the square of b's polynomial
+_SPREAD = [int(format(b, "08b"), 4).to_bytes(2, "little") for b in range(256)]
 
 
-def _ptrim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return tuple(a[:i])
+def _square(a: int) -> int:
+    """a(x)^2 over GF(2), one table lookup per byte of a."""
+    data = a.to_bytes((a.bit_length() + 7) // 8, "little")
+    return int.from_bytes(b"".join(map(_SPREAD.__getitem__, data)), "little")
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-def _pmod(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - df
-        for k in range(len(f)):
-            a[shift + k] = (a[shift + k] - factor * f[k]) % p
-        a = list(_ptrim(a))
-    return tuple(a)
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _ptrim(out)
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
+def _mod(a: int, f: int) -> int:
+    """a(x) mod f(x) over GF(2), by shift and XOR."""
+    e = f.bit_length()
+    while (n := a.bit_length()) >= e:
+        a ^= f << (n - e)
     return a
 
 
-def _ppowmod(base, exp, f, p):
-    result = (1,)
-    base = _pmod(base, f, p)
-    while exp:
-        if exp & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        exp >>= 1
-    return result
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _mod(a, b)
+    return a
 
 
-def _is_irreducible(f, p):
-    """Ben-Or: monic f of degree e is irreducible iff gcd(x^(p^k) - x, f) = 1 for k <= e/2."""
-    x = u = (0, 1)
-    for _ in range((len(f) - 1) // 2):
-        u = _ppowmod(u, p, f, p)  # x^(p^k) mod f
+def _is_irreducible(f: int) -> bool:
+    """Ben-Or: f of degree e is irreducible over GF(2) iff gcd(x^(2^k) - x, f) = 1 for k <= e/2."""
+    u = 0b10  # x
+    for _ in range((f.bit_length() - 1) // 2):
+        u = _mod(_square(u), f)  # x^(2^k) mod f
         # zero or non-constant gcd: f has a factor of degree dividing k
-        if len(_pgcd(_psub(u, x, p), f, p)) != 1:
+        if _gcd(f, u ^ 0b10) != 1:
             return False
     return True
 
 
 @functools.lru_cache(maxsize=None)
 def min_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """Monic irreducible of degree e over GF(p) with least integer encoding."""
-    for tail in range(p**e):
-        f = _digits(tail, p, e) + (1,)
-        if _is_irreducible(f, p):
-            return f
-    raise AssertionError("irreducible polynomial must exist")
+    """Monic irreducible of degree e over GF(2) with least integer encoding, ascending.
+
+    GF(p**e) for an odd p and e > 1 is not provided: an odd p raises InvalidRange.
+    """
+    if p != 2:
+        raise InvalidRange(f"GF({p}**{e}): the order must be prime or a power of two")
+    return _digits(next(filter(_is_irreducible, range(1 << e, 2 << e))), 2, e + 1)
 
 
 class GaloisField:
-    """GF(p^e) operating on integer-encoded elements.
+    """GF(q), q prime or a power of two, operating on integer-encoded elements.
 
     Use the module-level :func:`GF` factory, which caches instances per
     order, so fields compare by identity.  Elements are the integer
@@ -161,10 +129,8 @@ class GaloisField:
         self.characteristic = p
         self.degree = e
         self.reduction_poly = None if e == 1 else min_irreducible(p, e)
-        if p == 2 and e > 1:
-            self._red2 = self._encode(self.reduction_poly)
-
-    # -- encoding helpers ----------------------------------------------
+        if e > 1:
+            self._red2 = sum(c << k for k, c in enumerate(self.reduction_poly))
 
     def _check(self, a: int) -> int:
         try:
@@ -175,13 +141,6 @@ class GaloisField:
             raise InvalidRange(f"{a!r} is not an element encoding of {self}")
         return a
 
-    def _encode(self, coeffs) -> int:
-        p = self.characteristic
-        value = 0
-        for c in reversed(coeffs):
-            value = value * p + c
-        return value
-
     # -- integer-level arithmetic ---------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
@@ -191,11 +150,7 @@ class GaloisField:
         p, e = self.characteristic, self.degree
         if e == 1:
             return (a + b) % p
-        if p == 2:
-            return a ^ b
-        return self._encode(
-            [(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))]
-        )
+        return a ^ b
 
     def mul_i(self, a: int, b: int) -> int:
         self._check(a)
@@ -203,21 +158,18 @@ class GaloisField:
         p, e = self.characteristic, self.degree
         if e == 1:
             return (a * b) % p
-        if p == 2:
-            # shift-and-xor with modular reduction by the irreducible
-            r = 0
-            red = self._red2
-            top = 1 << e
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= red
-            return r
-        prod = _pmul(_digits(a, p, e), _digits(b, p, e), p)
-        return self._encode(_pmod(prod, self.reduction_poly, p))
+        # shift-and-xor with modular reduction by the irreducible
+        r = 0
+        red = self._red2
+        top = 1 << e
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= red
+        return r
 
     def pow_i(self, a: int, n: int) -> int:
         self._check(a)

@@ -52,7 +52,7 @@ from .exceptions import (
     ParseError,
     PrivampError,
 )
-from .extractor import SeededExtractor
+from .extractor import SeededExtractor, extractor_class
 
 SECTION = "EXTRACT"
 
@@ -90,16 +90,27 @@ class VectorConfig:
 
     @property
     def seed_length(self) -> int:
-        return self.extractor.seed_length
+        """The seed length the header implies, by arithmetic alone: no extractor is built.
+
+        A file as wide as its header holds t*t seed and m output bits per case, so
+        its Trevisan extractor (m*t design steps, GF(2^(t/2))) is polynomial in its size.
+        """
+        kind, kwargs = self._create_args()
+        return extractor_class(kind)._seed_length_for(**kwargs)
 
     @functools.cached_property
     def extractor(self) -> SeededExtractor:
         """The extractor this header names, built once; not a field, so not compared."""
+        kind, kwargs = self._create_args()
+        return SeededExtractor.create(kind, **kwargs)
+
+    def _create_args(self) -> tuple[str, dict]:
+        """The :meth:`SeededExtractor.create` kind and keywords this header names."""
         if self.name not in _KINDS:
             raise ParseError(f"unknown extractor name {self.name!r}")
         kind, keywords = _KINDS[self.name]
         params = dict(self.params)
-        kwargs = {}
+        kwargs = {"input_length": self.input_length, "output_length": self.output_length}
         for key, keyword in keywords.items():
             if key not in params:
                 raise ParseError(f"{self.name} header must carry {key!r}")
@@ -107,9 +118,7 @@ class VectorConfig:
                 kwargs[keyword] = int(params[key])
             except ValueError:
                 raise ParseError(f"invalid {key} {params[key]!r}") from None
-        return SeededExtractor.create(
-            kind, input_length=self.input_length, output_length=self.output_length, **kwargs
-        )
+        return kind, kwargs
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,7 @@ class TestVectorFile:
         self.has_output = every if has_output is None else np.asarray(has_output, dtype=bool)
         self.inputs, self.seeds, self.outputs = columns
         names = ("input", "seed", "output") if extractor_config is not None and len(self.inputs) else ()
-        for name, column in zip(names, columns):  # the seed length is read once the inputs match
+        for name, column in zip(names, columns):
             width = getattr(extractor_config, f"{name}_length")
             if column is not None and column.shape[1] != width:
                 raise LengthMismatch(f"{name}s are {column.shape[1]} bits, the configuration says {width}")
@@ -303,7 +312,6 @@ def _file_from_hex(header, section, config, inputs, seeds, outputs, has_output=N
     if not inputs:
         return TestVectorFile(header, section, [], config)
     xs = _unhex_rows(inputs, config.input_length)
-    # the seed length is read only once the inputs have matched the declared length
     ys = _unhex_rows(seeds, config.seed_length)
     outputs = _unhex_rows(outputs, config.output_length) if outputs else None
     return TestVectorFile(header, section, extractor_config=config, columns=(xs, ys, outputs),
@@ -364,7 +372,6 @@ def _parse_lines(text: str, extractor_config: VectorConfig | None) -> TestVector
                 if required not in raw:
                     raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
             for name in [name for name in ("INPUT", "SEED", "OUTPUT") if name in raw]:
-                # the seed length is read only once an INPUT has matched the declared length
                 (value, line_no), length = raw[name], getattr(config, f"{name.lower()}_length")
                 try:
                     hex_decode(value, length)

@@ -232,13 +232,18 @@ class _ToeplitzBlockExtractor(SeededExtractor):
     """
 
     def __init__(self, input_length: int, output_length: int):
-        top = self._max_output_length(input_length)
+        self._k = self._block_width(input_length, output_length)
+        super().__init__(input_length, output_length, self._seed_length_for(input_length, output_length))
+
+    @classmethod
+    def _seed_length_for(cls, input_length: int, output_length: int) -> int:
+        """The seed length q = m+k-1 of (n, m), after the range checks; builds nothing."""
+        top = cls._max_output_length(input_length)
         if top < 1:
             raise InvalidRange(f"input_length {input_length} admits no output length")
         if not 1 <= output_length <= top:
             raise InvalidRange(f"output_length must be in [1, {top}], got {output_length}")
-        self._k = self._block_width(input_length, output_length)
-        super().__init__(input_length, output_length, output_length + self._k - 1)
+        return output_length + cls._block_width(input_length, output_length) - 1
 
     @classmethod
     def calculate_length(cls, extractor_type, input_length, relative_source_entropy, error_bound):

@@ -22,7 +22,7 @@ import numpy as np
 from .bits import BitString
 from .exceptions import InvalidRange, NoFeasibleOutput, TooManySets
 from .extractor import SeededExtractor, check_source_parameters
-from .fields import GF, _digits
+from .fields import GF, _digits, prime_power
 
 #: Overlap parameter guaranteed by the finite-field polynomial design.
 DEFAULT_OVERLAP_R = 2 * math.e
@@ -288,8 +288,8 @@ def calculate_length_trevisan(
     """
     check_source_parameters(input_length, relative_source_entropy, error_bound)
     t = one_bit_seed_length
-    l, s = _one_bit_shape(input_length, t)  # before GF(t), which trial-divides an odd t
-    GF(t)  # raises NotPrimePower when t is invalid
+    l, s = _one_bit_shape(input_length, t)
+    prime_power(t)  # raises NotPrimePower when t is invalid
     k = relative_source_entropy * input_length
     r = DEFAULT_OVERLAP_R
 
@@ -360,14 +360,19 @@ class TrevisanExtractor(SeededExtractor):
         one_bit_extractor_seed_length: int,
     ) -> "TrevisanExtractor":
         t = one_bit_extractor_seed_length
-        # the cheap checks first: GF(t) trial-divides an odd t up to sqrt(t),
-        # and the design and the one-bit field GF(2^(t/2)) take long to build
+        cls._seed_length_for(input_length, output_length, t)  # before the m*t design steps
+        design = FiniteFieldPolynomialDesign(output_length, t)
+        return cls(design, PolynomialOneBitExtractor(input_length, t))
+
+    @staticmethod
+    def _seed_length_for(input_length: int, output_length: int, one_bit_extractor_seed_length: int) -> int:
+        """The seed length t*t of (n, m, t), after the checks that build no field or design."""
+        t = one_bit_extractor_seed_length
         if input_length < 1 or output_length < 1:
             raise InvalidRange("input_length and output_length must be positive")
         _one_bit_shape(input_length, t)
-        GF(t)  # raises NotPrimePower when t is invalid
-        design = FiniteFieldPolynomialDesign(output_length, t)
-        return cls(design, PolynomialOneBitExtractor(input_length, t))
+        prime_power(t)  # raises NotPrimePower when t is invalid
+        return t * t
 
     def header_params(self) -> dict[str, int]:
         return {"One-bit seed length": self.one_bit.seed_length}

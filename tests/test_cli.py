@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import privamp
-from privamp import toeplitz, validator
+from privamp import toeplitz, trevisan, validator
 from privamp.cli import build_parser, main
+from privamp.fields import GaloisField
 from privamp.trevisan import FiniteFieldPolynomialDesign
 
 from conftest import thirdparty_command
@@ -354,6 +355,39 @@ def test_vectors_verify_trevisan_builds_the_design_once(capsys, tmp_path, monkey
     code, out, _ = run(capsys, "vectors", "verify", str(path))
     assert code == 0 and "4/4" in out
     assert builds == 1
+
+
+# a 16 -> 1 Trevisan response file as ``vectors gen ... --rng-seed 1`` writes it at t = 4
+TREVISAN_RSP = (
+    "# CAVS\n# TrevisanExtractor\n# Input Length : 16\n# Compression ratio: {ratio}\n"
+    "# One-bit seed length : {t}\n# Generated on Thu Jan  1 00:00:00 1970\n\n[EXTRACT]\n\n"
+    "COUNT = 0\nINPUT = cd5d\nSEED = aebf\nOUTPUT = 00\n"
+)
+
+
+@pytest.mark.parametrize("ratio, t, code, message", [
+    ("1/16", 4, 0, ""),
+    ("1/16", 4096, 2, "line 12: SEED: expected 4194304 hex chars for 16777216 bits, got 4"),
+    ("1048576/16", 64, 2, "line 12: SEED: expected 1024 hex chars for 4096 bits, got 4"),
+    ("1/16", 6, 2, "6 is not a prime power"),
+], ids=["as-generated", "t4096", "m2^20", "t6"])
+def test_vectors_verify_checks_header_widths_before_building(capsys, tmp_path, monkeypatch, ratio, t,
+                                                             code, message):
+    # a header alone could ask for GF(2^2048) or a design of 2^20 sets
+    path = tmp_path / "trevisan.rsp"
+    path.write_text(TREVISAN_RSP.format(ratio=ratio, t=t))
+    built = []  # GF is cached, so the fields the extractor asks for are recorded too
+    monkeypatch.setattr(trevisan, "GF", lambda order, GF=trevisan.GF: built.append(order) or GF(order))
+    for cls in (GaloisField, FiniteFieldPolynomialDesign):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__:
+                            built.append(args) or init(self, *args))
+    started = time.perf_counter()
+    assert run(capsys, "vectors", "verify", str(path))[::2] == (code, message and f"error: {message}\n")
+    assert time.perf_counter() - started < 1.0
+    if code:
+        assert built == []
+    else:  # the design over GF(4) and the one-bit field GF(2^2)
+        assert (1, 4) in built and 4 in built
 
 
 def test_vectors_verify_tampered_lists_counts(capsys, tmp_path, golden_rsp_text):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
-from privamp import GF
+import privamp
+from privamp import GF, generate_design
 from privamp.exceptions import InvalidRange, NotPrimePower
 from privamp.fields import min_irreducible, prime_power
 
@@ -77,18 +83,14 @@ def test_mul_is_not_bare_left_shift():
     assert GF(8).mul_i(4, 2) == 3
 
 
-def test_odd_prime_power_field():
-    field = GF(9)
-    assert field.characteristic == 3 and field.degree == 2
-    # additive order of every nonzero element is 3
-    for a in range(1, 9):
-        assert field.add_i(field.add_i(a, a), a) == 0
-    # multiplicative group has order 8
-    for a in range(1, 9):
-        assert field.pow_i(a, 8) == 1
-    # inverse really inverts
-    for a in range(1, 9):
-        assert field.mul_i(a, field.inv_i(a)) == 1
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 121, 125])
+def test_odd_extension_fields_are_refused(q):
+    # a design over GF(t) needs a prime power t, and Trevisan's t is even too:
+    # no extractor reaches GF(p**e) for an odd p and e > 1
+    with pytest.raises(InvalidRange, match="prime or a power of two"):
+        GF(q)
+    with pytest.raises(InvalidRange, match="prime or a power of two"):
+        generate_design(2, q)
 
 
 def test_prime_power_decomposition():
@@ -129,44 +131,35 @@ def test_eval_poly_i_coefficients_ascend():
         f5.eval_poly_i([7], 1)
 
 
-def all_monic(p, deg):
-    for tail in range(p**deg):
-        coeffs, v = [], tail
-        for _ in range(deg):
-            coeffs.append(v % p)
-            v //= p
-        yield tuple(coeffs) + (1,)
-
-
-@pytest.mark.parametrize(
-    "p,e",
-    [(2, 4), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2), (2, 8), (2, 10), (3, 4), (5, 3), (11, 2)],
-)
+@pytest.mark.parametrize("p,e", [(2, e) for e in range(2, 13)])
 def test_min_irreducible_matches_trial_division_oracle(p, e):
-    from privamp.fields import _is_irreducible, _pmod
+    from privamp.fields import _is_irreducible
 
     def is_irreducible_by_trial_division(f):
-        for d in range(1, e // 2 + 1):
-            for g in all_monic(p, d):
-                if not _pmod(f, g, p):
-                    return False
-        return True
+        # f mod g by this file's own long division, for every monic g of degree 1..e/2
+        divisors = (g for d in range(1, e // 2 + 1) for g in range(1 << d, 2 << d))
+        return all(carryless_mul_mod(f, 1, g, g.bit_length() - 1) for g in divisors)
 
-    oracle = [is_irreducible_by_trial_division(f) for f in all_monic(p, e)]
-    assert [_is_irreducible(f, p) for f in all_monic(p, e)] == oracle
-    least = next(f for f, irreducible in zip(all_monic(p, e), oracle) if irreducible)
-    assert min_irreducible(p, e) == least
+    candidates = range(1 << e, 2 << e)  # the monic polynomials of degree e, by encoding
+    oracle = [is_irreducible_by_trial_division(f) for f in candidates]
+    assert [_is_irreducible(f) for f in candidates] == oracle
+    least = candidates[oracle.index(True)]
+    assert min_irreducible(p, e) == tuple((least >> k) & 1 for k in range(e + 1))
 
 
-@pytest.mark.parametrize("q", [25, 27, 49])
-def test_larger_odd_prime_power_fields_are_fields(q):
-    field = GF(q)
-    for a in range(1, q):
-        assert field.mul_i(a, field.inv_i(a)) == 1
-    # distributivity spot check
-    rng = np.random.default_rng(q)
-    for _ in range(200):
-        a, b, c = (int(v) for v in rng.integers(0, q, size=3))
-        left = field.mul_i(a, field.add_i(b, c))
-        right = field.add_i(field.mul_i(a, b), field.mul_i(a, c))
-        assert left == right
+def test_min_irreducible_tails_at_large_degrees():
+    for l, tail in {256: 0x425, 512: 0x125}.items():
+        got = sum(c << k for k, c in enumerate(min_irreducible(2, l)))
+        assert got == (1 << l) | tail, f"l={l}: got tail {got ^ (1 << l):#x}, expected {tail:#x}"
+
+
+def test_gf_2_512_is_built_in_a_fresh_interpreter_within_5_s():
+    # the least-encoding search runs at construction, so a slow search is a slow GF(2**512)
+    src = os.path.dirname(os.path.dirname(privamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    started = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-c", "from privamp import GF; GF(2**512)"],
+        env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60,
+    )
+    assert time.perf_counter() - started < 5.0
