@@ -21,7 +21,8 @@ from .exceptions import InvalidRange, LengthMismatch, ParseError, PrivampError
 from .bits import BitString, hex_decode
 from .extractor import SeededExtractor, extractor_class
 from .trevisan import calculate_length_trevisan
-from .validator import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_TIMEOUT, DEFAULT_WORKERS, Validator
+from .validator import (DEFAULT_EXHAUSTIVE_CAP, DEFAULT_TIMEOUT, DEFAULT_WORKERS, ImplementationAdapter,
+                        Validator, _check_run)
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -57,12 +58,13 @@ def _one_bit_seed_length(args) -> int | None:
     return args.one_bit_seed_length
 
 
-def _build_extractor(args) -> SeededExtractor:
+def _extractor_args(args) -> tuple[dict, int]:
+    """The :meth:`SeededExtractor.create` keywords of ``args``, and their seed length by the kind's rule alone."""
     kwargs = dict(input_length=args.input_length, output_length=args.output_length)
     t = _one_bit_seed_length(args)
     if t is not None:
         kwargs["one_bit_extractor_seed_length"] = t
-    return SeededExtractor.create(args.type, **kwargs)
+    return kwargs, extractor_class(args.type)._seed_length_for(**kwargs)
 
 
 def _read_text(path: str) -> str:
@@ -84,10 +86,10 @@ def _read_hex(value: str, length: int, what: str) -> BitString:
 
 
 def cmd_extract(args) -> int:
-    ext = _build_extractor(args)
-    x = _read_hex(args.input, ext.input_length, "input")
-    y = _read_hex(args.seed, ext.seed_length, "seed")
-    out = ext.extract(x, y).to_hex()
+    kwargs, seed_length = _extractor_args(args)
+    x = _read_hex(args.input, args.input_length, "input")
+    y = _read_hex(args.seed, seed_length, "seed")
+    out = SeededExtractor.create(args.type, **kwargs).extract(x, y).to_hex()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
@@ -113,20 +115,16 @@ def cmd_params(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ext = _build_extractor(args)
-    validator = Validator(ext, exhaustive_cap=args.exhaustive_cap)
+    kwargs, seed_length = _extractor_args(args)
     run = dict(mode=args.mode, sample_size=args.samples, rng_seed=args.rng_seed,
                timeout=args.timeout, workers=args.workers)
-    validator._check_run(**run)  # a bad argument fails before the probe launches the command
-    validator.add_implementation(
-        label=args.label,
-        command=args.command,
-        input_method=args.input_method,
-        serializers={"$INPUT$": args.input_format, "$SEED$": args.seed_format},
-        output_parser=args.output_format,
-        output_path=args.output_path,
-        timeout=args.timeout,
-    )
+    _check_run(args.input_length + seed_length, args.exhaustive_cap, **run)
+    adapter = ImplementationAdapter(
+        label=args.label, command=args.command, input_method=args.input_method, output_path=args.output_path,
+        serializers={"$INPUT$": args.input_format, "$SEED$": args.seed_format}, output_parser=args.output_format,
+    )  # every argument is checked: now build the reference, then probe the command
+    validator = Validator(SeededExtractor.create(args.type, **kwargs), exhaustive_cap=args.exhaustive_cap)
+    validator.add_implementation(adapter, timeout=args.timeout)
     report = validator.validate(**run)
     print(report.summary())
     if report.passed:
@@ -137,9 +135,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_vectors_gen(args) -> int:
-    ext = _build_extractor(args)
+    kwargs, _ = _extractor_args(args)
+    testvectors._check_generate(args.count, args.rng_seed, args.kind)
     file = testvectors.generate_test_vectors(
-        ext, count=args.count, rng_seed=args.rng_seed, kind=args.kind
+        SeededExtractor.create(args.type, **kwargs), count=args.count, rng_seed=args.rng_seed, kind=args.kind
     )
     text = file.render()
     if args.out:

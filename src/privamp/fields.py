@@ -38,9 +38,15 @@ from .exceptions import InvalidRange, NotPrimePower
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p**e with p prime, or raise NotPrimePower."""
+    """Decompose q = p**e with p prime, or raise NotPrimePower; InvalidRange for an odd q > 2**32.
+
+    A design over GF(q) needs q**2 seed bits, so the bound refuses nothing
+    usable, and the trial division below it takes at most 2**16 steps.
+    """
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
+    if q % 2 and q > 1 << 32:
+        raise InvalidRange(f"an odd field order must be at most 2**32, got {q}")
     p = 2
     while p * p <= q:
         if q % p == 0:

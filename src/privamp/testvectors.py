@@ -196,6 +196,16 @@ class TestVectorFile:
         return head + "".join(f"\nCOUNT = {k}\nINPUT = {x}\nSEED = {y}\n{t}" for k, x, y, t in rows)
 
 
+def _check_generate(count: int, rng_seed: int | None, kind: str) -> None:
+    """The argument checks of :func:`generate_test_vectors`, which need no extractor."""
+    if count < 1:
+        raise InvalidRange("count must be >= 1")
+    if kind not in ("req", "rsp"):
+        raise InvalidRange(f"kind must be req or rsp, got {kind!r}")
+    if rng_seed is not None and rng_seed < 0:
+        raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
+
+
 def generate_test_vectors(
     ext: SeededExtractor, count: int, rng_seed: int | None = None, kind: str = "rsp"
 ) -> TestVectorFile:
@@ -206,12 +216,7 @@ def generate_test_vectors(
     ``rng_seed`` the result (including the timestamp line) is fully
     deterministic, so regeneration is byte-identical.
     """
-    if count < 1:
-        raise InvalidRange("count must be >= 1")
-    if kind not in ("req", "rsp"):
-        raise InvalidRange(f"kind must be req or rsp, got {kind!r}")
-    if rng_seed is not None and rng_seed < 0:
-        raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
+    _check_generate(count, rng_seed, kind)
     n, d = ext.input_length, ext.seed_length
     # parameter values live in text headers, so they are carried as strings
     params = tuple((k, str(v)) for k, v in ext.header_params().items())

@@ -227,29 +227,31 @@ class _ToeplitzBlockExtractor(SeededExtractor):
     The block T[i, j] = y[(i - j) mod q] hashes the first k input bits
     with a seed of q = m+k-1 bits; the remaining n-k input bits (none,
     or m of them) are XORed onto the output through an identity block.
-    A variant states its block width k, ``_block_width(n, m)``, and its
-    largest output length, ``_max_output_length(n)``.
+    A variant states ``_identity``, whether that block takes the last m
+    input bits: then k = n-m and m < n, else k = n and m <= n.
     """
 
+    _identity: bool
+
     def __init__(self, input_length: int, output_length: int):
-        self._k = self._block_width(input_length, output_length)
         super().__init__(input_length, output_length, self._seed_length_for(input_length, output_length))
+        self._k = self.seed_length - output_length + 1
 
     @classmethod
     def _seed_length_for(cls, input_length: int, output_length: int) -> int:
-        """The seed length q = m+k-1 of (n, m), after the range checks; builds nothing."""
-        top = cls._max_output_length(input_length)
+        """The seed length q = m+k-1 of (n, m), else InvalidRange: the variant's whole shape rule; it builds nothing."""
+        top = input_length - cls._identity
         if top < 1:
             raise InvalidRange(f"input_length {input_length} admits no output length")
         if not 1 <= output_length <= top:
             raise InvalidRange(f"output_length must be in [1, {top}], got {output_length}")
-        return output_length + cls._block_width(input_length, output_length) - 1
+        return input_length - 1 if cls._identity else input_length + output_length - 1
 
     @classmethod
     def calculate_length(cls, extractor_type, input_length, relative_source_entropy, error_bound):
         """:func:`calculate_length`, capped at the variant's largest output length."""
         m = calculate_length(extractor_type, input_length, relative_source_entropy, error_bound)
-        return min(m, cls._max_output_length(input_length))
+        return min(m, input_length - cls._identity)
 
     def to_matrix(self, y: BitString) -> np.ndarray:
         """Explicit hashing matrix for seed ``y`` (reference path)."""
@@ -314,14 +316,7 @@ class ToeplitzExtractor(_ToeplitzBlockExtractor):
     vector_name = "ToeplitzHashing"
     # each variant binds extract itself, so it can be wrapped per class
     extract = _ToeplitzBlockExtractor.extract
-
-    @staticmethod
-    def _block_width(n: int, m: int) -> int:
-        return n
-
-    @staticmethod
-    def _max_output_length(n: int) -> int:
-        return n
+    _identity = False
 
 
 class ModifiedToeplitzExtractor(_ToeplitzBlockExtractor):
@@ -336,11 +331,4 @@ class ModifiedToeplitzExtractor(_ToeplitzBlockExtractor):
 
     vector_name = "ModifiedToeplitzHashing"
     extract = _ToeplitzBlockExtractor.extract
-
-    @staticmethod
-    def _block_width(n: int, m: int) -> int:
-        return n - m
-
-    @staticmethod
-    def _max_output_length(n: int) -> int:
-        return n - 1
+    _identity = True

@@ -288,8 +288,8 @@ def calculate_length_trevisan(
     """
     check_source_parameters(input_length, relative_source_entropy, error_bound)
     t = one_bit_seed_length
+    d = TrevisanExtractor._seed_length_for(input_length, 1, t)
     l, s = _one_bit_shape(input_length, t)
-    prime_power(t)  # raises NotPrimePower when t is invalid
     k = relative_source_entropy * input_length
     r = DEFAULT_OVERLAP_R
 
@@ -320,7 +320,7 @@ def calculate_length_trevisan(
         one_bit_seed_length=t,
         field_degree=l,
         chunk_count=s,
-        seed_length=t * t,
+        seed_length=d,
         degree_cap=_degree_cap(m, t),
         overlap_r=r,
         per_bit_error=e1,
@@ -366,12 +366,14 @@ class TrevisanExtractor(SeededExtractor):
 
     @staticmethod
     def _seed_length_for(input_length: int, output_length: int, one_bit_extractor_seed_length: int) -> int:
-        """The seed length t*t of (n, m, t), after the checks that build no field or design."""
+        """The seed length t*t of (n, m, t), else the error ``create`` raises: the whole rule; it builds nothing."""
         t = one_bit_extractor_seed_length
         if input_length < 1 or output_length < 1:
             raise InvalidRange("input_length and output_length must be positive")
         _one_bit_shape(input_length, t)
         prime_power(t)  # raises NotPrimePower when t is invalid
+        if _degree_cap(output_length, t) >= t:  # t**t < m, so it is small
+            raise TooManySets(f"m = {output_length} exceeds the sanity cap t**t = {t**t}")
         return t * t
 
     def header_params(self) -> dict[str, int]:

@@ -58,6 +58,28 @@ def _check_timeout(timeout: float) -> None:
         raise InvalidRange(f"timeout must lie in (0, {_MAX_TIMEOUT}] s, got {timeout}")
 
 
+def _check_run(width, exhaustive_cap, mode, sample_size, rng_seed, timeout, workers) -> tuple[int, int]:
+    """(cases, workers) of a validate run on input+seed ``width`` bits; InvalidRange for a bad argument.
+
+    It needs no extractor and launches nothing, so the command line checks
+    its arguments with it before it builds the reference and probes the command.
+    """
+    _check_timeout(timeout)
+    if rng_seed is not None and rng_seed < 0:
+        raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
+    if mode == "exhaustive":
+        if width > exhaustive_cap:
+            raise InvalidRange(f"exhaustive mode needs input+seed <= {exhaustive_cap} bits, got {width}")
+        total = 1 << width
+    elif mode == "random":
+        if sample_size is None or sample_size < 1:
+            raise InvalidRange("random mode needs sample_size >= 1")
+        total = sample_size
+    else:
+        raise InvalidRange(f"unknown mode {mode!r}")
+    return total, max(1, DEFAULT_WORKERS if workers is None else workers)
+
+
 def _serialize(value: BitString, fmt: str) -> str:
     return value.to_hex() if fmt == "hex" else value.to01()
 
@@ -329,30 +351,6 @@ class Validator:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(index,)))
         return BitString.random(n, rng), BitString.random(d, rng)
 
-    def _check_run(self, mode, sample_size, rng_seed, timeout, workers) -> tuple[int, int]:
-        """(cases, workers) of a :meth:`validate` run; InvalidRange for an argument it rejects.
-
-        It launches nothing, so the command line checks its arguments
-        with it before :meth:`add_implementation` probes the command.
-        """
-        _check_timeout(timeout)
-        if rng_seed is not None and rng_seed < 0:
-            raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
-        n, d = self.reference.input_length, self.reference.seed_length
-        if mode == "exhaustive":
-            if n + d > self.exhaustive_cap:
-                raise InvalidRange(
-                    f"exhaustive mode needs input+seed <= {self.exhaustive_cap} bits, got {n + d}"
-                )
-            total = (1 << n) * (1 << d)
-        elif mode == "random":
-            if sample_size is None or sample_size < 1:
-                raise InvalidRange("random mode needs sample_size >= 1")
-            total = sample_size
-        else:
-            raise InvalidRange(f"unknown mode {mode!r}")
-        return total, max(1, DEFAULT_WORKERS if workers is None else workers)
-
     def validate(
         self,
         mode: str = "exhaustive",
@@ -373,7 +371,8 @@ class Validator:
         ``workers`` cases run at once, :data:`DEFAULT_WORKERS` if None.
         """
         adapter = self._resolve(label)
-        total, workers = self._check_run(mode, sample_size, rng_seed, timeout, workers)
+        width = self.reference.input_length + self.reference.seed_length
+        total, workers = _check_run(width, self.exhaustive_cap, mode, sample_size, rng_seed, timeout, workers)
         if adapter.output_path is not None:
             workers = 1  # a fixed output path cannot be shared between cases
         m = self.reference.output_length

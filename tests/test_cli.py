@@ -390,6 +390,42 @@ def test_vectors_verify_checks_header_widths_before_building(capsys, tmp_path, m
         assert (1, 4) in built and 4 in built
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["extract", "-n", "1000000", "-m", "100000", "--one-bit-seed-length", "64", "--input", "00", "--seed", "00"],
+     1, "input: expected 250000 hex chars for 1000000 bits, got 2"),
+    (["extract", "-n", "16", "-m", "100000000", "--one-bit-seed-length", "64", "--input", "0000", "--seed", "00"],
+     1, "seed: expected 1024 hex chars for 4096 bits, got 2"),
+    (["validate", "-n", "16384", "-m", "8000", "--one-bit-seed-length", "128", "--command", "true",
+      "--timeout", "0"], 2, "timeout must lie in (0, 2147483] s, got 0.0"),
+    (["vectors", "gen", "-n", "16384", "-m", "8000", "--one-bit-seed-length", "128", "--count", "0"],
+     2, "count must be >= 1"),
+], ids=["extract-short-input", "extract-short-seed", "validate-timeout-0", "vectors-gen-count-0"])
+def test_cli_checks_arguments_and_widths_before_building(capsys, monkeypatch, argv, code, message):
+    # each shape's design takes seconds: the widths come from the shape rule, and every argument
+    # is checked before the extractor is built.  A spy stops a build at once, so a regression
+    # fails fast instead of building a design of up to 10^8 sets
+    built = []
+
+    def spy(*args):
+        built.append(args[-1])
+        raise AssertionError(f"built {args[-1]!r} before checking the arguments")
+
+    monkeypatch.setattr(trevisan, "GF", spy)
+    for cls in (GaloisField, FiniteFieldPolynomialDesign):
+        monkeypatch.setattr(cls, "__init__", spy)
+    started = time.perf_counter()
+    assert run(capsys, *argv, "--type", "trevisan")[::2] == (code, f"error: {message}\n")
+    assert time.perf_counter() - started < 1.0
+    assert built == []
+
+
+def test_vectors_verify_refuses_more_sets_than_t_to_the_t_at_parse(capsys, tmp_path):
+    # m = 5 > t**t = 4: the shape rule refuses the header before the SEED width is checked
+    path = tmp_path / "trevisan.rsp"
+    path.write_text(TREVISAN_RSP.format(ratio="5/16", t=2))
+    assert run(capsys, "vectors", "verify", str(path))[::2] == (2, "error: m = 5 exceeds the sanity cap t**t = 4\n")
+
+
 def test_vectors_verify_tampered_lists_counts(capsys, tmp_path, golden_rsp_text):
     path = tmp_path / "tampered.rsp"
     path.write_text(

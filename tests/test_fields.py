@@ -102,6 +102,29 @@ def test_prime_power_decomposition():
             prime_power(bad)
 
 
+def test_prime_power_near_the_odd_order_bound():
+    # at most 2**16 trial divisions below 2**32
+    assert prime_power(2**31 - 1) == (2**31 - 1, 1)
+    assert prime_power(3**20) == (3, 20)
+    assert prime_power(2**64) == (2, 64)  # even orders are not bounded
+    with pytest.raises(InvalidRange, match="at most 2\\*\\*32"):
+        prime_power(2**32 + 1)
+
+
+@pytest.mark.parametrize("build", ["GF(10**18 + 9)", "generate_design(1, 10**18 + 9)"])
+def test_huge_odd_order_is_refused_in_a_fresh_interpreter_within_5_s(build):
+    # 10**18 + 9 is prime: trial division to its square root would run for hours
+    src = os.path.dirname(os.path.dirname(privamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("from privamp import GF, generate_design\nfrom privamp.exceptions import InvalidRange\n"
+             f"try:\n    {build}\nexcept InvalidRange:\n    print('InvalidRange')")
+    started = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert time.perf_counter() - started < 5.0
+    assert result.stdout == "InvalidRange\n", result.stderr
+
+
 def test_min_irreducible_table():
     # lexicographically least by integer encoding; frozen convention
     expected = {2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B}

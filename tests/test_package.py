@@ -113,3 +113,19 @@ def test_every_module_level_definition_is_named_elsewhere():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
     ]
     assert not unnamed, ", ".join(unnamed)
+
+
+def test_seed_length_rules_build_nothing():
+    # the command line and test vector headers read widths from these rules before
+    # building anything, so a rule may not build a field, design or extractor itself
+    builders = {"GF", "GaloisField", "min_irreducible", "FiniteFieldPolynomialDesign", "generate_design",
+                "PolynomialOneBitExtractor", "WeakDesign", "create", "cls"}
+    rules, calls = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_seed_length_for":
+                rules.append(path.name)
+                calls += [f"{path.name}:{call.lineno} {ast.unparse(call.func)}" for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] in builders]
+    assert sorted(rules) == ["toeplitz.py", "trevisan.py"]
+    assert not calls, ", ".join(calls)

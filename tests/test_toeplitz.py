@@ -209,6 +209,29 @@ def test_modified_rejects_m_equal_n():
         ModifiedToeplitzExtractor(1, 1)
 
 
+@pytest.mark.parametrize("cls, identity", [(ToeplitzExtractor, False), (ModifiedToeplitzExtractor, True)])
+def test_seed_length_rule_matches_the_constructor(cls, identity):
+    # the rule refuses exactly the shapes the constructor refuses, and states its seed width:
+    # 1 <= m <= n and q = n+m-1, or with the identity block 1 <= m < n and q = n-1
+    for n in range(1, 9):
+        accepted = []
+        for m in range(0, n + 2):
+            try:
+                ext = cls(n, m)
+            except InvalidRange:
+                with pytest.raises(InvalidRange):
+                    cls._seed_length_for(n, m)
+                continue
+            accepted.append(m)
+            q = cls._seed_length_for(n, m)
+            assert q == ext.seed_length == (n - 1 if identity else n + m - 1)
+            k = q - m + 1
+            mat = ext.to_matrix(BitString.zeros(q))
+            assert mat.shape == (m, n) and n - k == (m if identity else 0)
+            assert np.array_equal(mat[:, k:], np.eye(m, n - k, dtype=np.uint8))
+        assert accepted == list(range(1, n + (not identity)))
+
+
 # -- path equivalence and linearity -------------------------------------
 
 

@@ -442,6 +442,26 @@ def test_trevisan_cheap_checks_run_before_fields_and_design(build, error):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("t, error", [(6, NotPrimePower), (10**18 + 3, InvalidRange), (10**18 + 4, NotPrimePower)])
+def test_trevisan_rule_refuses_what_create_and_the_length_refuse(t, error):
+    for build in (lambda: TrevisanExtractor._seed_length_for(64, 1, t),
+                  lambda: TrevisanExtractor.create(64, 1, t),
+                  lambda: calculate_length_trevisan(64, 0.5, 1e-3, t)):
+        with pytest.raises(error):
+            build()
+
+
+@pytest.mark.parametrize("m, t", [(5, 2), (257, 4), (16**16 + 1, 16)])
+def test_trevisan_rule_refuses_more_sets_than_t_to_the_t(m, t):
+    # the design checks the cap itself, before its sets; the rule states it without a field or design
+    assert TrevisanExtractor._seed_length_for(64, m - 1, t) == t * t
+    for build in (lambda: TrevisanExtractor._seed_length_for(64, m, t),
+                  lambda: TrevisanExtractor.create(64, m, t),
+                  lambda: FiniteFieldPolynomialDesign(m, t)):
+        with pytest.raises(TooManySets, match=f"sanity cap t\\*\\*t = {t**t}$"):
+            build()
+
+
 def test_trevisan_length_parameter_validation():
     with pytest.raises(NotPrimePower):
         calculate_length_trevisan(64, 0.9, 1e-3, 6)

@@ -643,12 +643,11 @@ def test_label_resolution_with_multiple_implementations(thirdparty_bin):
 
 def test_worker_count_is_an_argument(monkeypatch):
     # None runs DEFAULT_WORKERS whatever the environment holds; fewer than 1 runs 1
-    from privamp.validator import DEFAULT_WORKERS
+    from privamp.validator import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_WORKERS, _check_run
 
     monkeypatch.setenv("PRIVAMP_WORKERS", "1")
-    validator = Validator(ToeplitzExtractor(2, 1))
-    assert validator._check_run("random", 4, 0, 1.0, None) == (4, DEFAULT_WORKERS)
-    assert validator._check_run("random", 4, 0, 1.0, 0) == (4, 1)
+    assert _check_run(4, DEFAULT_EXHAUSTIVE_CAP, "random", 4, 0, 1.0, None) == (4, DEFAULT_WORKERS)
+    assert _check_run(4, DEFAULT_EXHAUSTIVE_CAP, "random", 4, 0, 1.0, 0) == (4, 1)
 
 
 def test_validate_queues_at_most_one_chunk(thirdparty_bin, monkeypatch):
