@@ -53,8 +53,9 @@ loop hashes the rows: while m and k fit in a block, max(1, 2^16 //
 next_pow2(q)) rows share one transform along the last axis (512 at
 modified 128->64, 256 at standard 128->64), so a transform has at most
 2^16 points per operand; partitioned shapes, "exact" and "matrix" take
-one 1-D row at a time.  This is the package's one batch rule: test
-vectors hash whole columns, the validator 1024 cases a call.
+one 1-D row at a time.  This is the package's one batch rule: test vectors
+hash whole columns, the validator a chunk of at most 1024 cases and 2^26
+input and seed bits a call, at least one case per worker.
 """
 
 from __future__ import annotations

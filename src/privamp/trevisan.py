@@ -13,6 +13,7 @@ evaluation in :mod:`privamp.fields` is ascending.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -294,25 +295,13 @@ def calculate_length_trevisan(
     r = DEFAULT_OVERLAP_R
 
     def feasible(m: int) -> bool:
-        e1 = error_bound / m
-        return k >= _one_bit_entropy_required(l, s, e1) + r * m
+        # the design's t**t cap, then the entropy that the composition rule asks for
+        return _degree_cap(m, t) < t and k >= _one_bit_entropy_required(l, s, error_bound / m) + r * m
 
-    # min(input_length, t**t), computing t**t only when it is below input_length
-    cap = input_length if _degree_cap(input_length, t) < t else t**t
-    if not feasible(1):
-        raise NoFeasibleOutput(
-            "source entropy too low for even one output bit at these parameters"
-        )
-    # binary search the boundary: the feasibility predicate is monotone
-    # decreasing in m
-    lo, hi = 1, cap
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    m = lo
+    # feasible is monotone decreasing in m, so the largest feasible m is the number of them
+    m = bisect.bisect_left(range(1, input_length + 1), True, key=lambda m: not feasible(m))
+    if m == 0:
+        raise NoFeasibleOutput("source entropy too low for even one output bit at these parameters")
     e1 = error_bound / m
     k1 = _one_bit_entropy_required(l, s, e1)
     params = TrevisanParams(

@@ -50,6 +50,8 @@ DEFAULT_TIMEOUT = 30.0
 DEFAULT_WORKERS = 4
 
 _CHUNK = 1024  # cases queued at once: Executor.map submits all it is given up front
+_CHUNK_BITS = 2**26  # input and seed bits drawn at once, when that is at least one case per worker
+_FAILURE_BITS = 2**28  # input, seed, expected and received bits that a report's failures hold
 _MAX_TIMEOUT = 2_147_483  # seconds: poll() waits with a C int of milliseconds
 
 
@@ -154,29 +156,22 @@ class ImplementationAdapter:
     def run_case(self, x: BitString, y: BitString, output_length: int, timeout: float) -> BitString:
         """Invoke the implementation once: AdapterCrashed on any failure, InvalidRange for a timeout."""
         _check_timeout(timeout)
-        values = {"$INPUT$": x, "$SEED$": y}
+        # each placeholder's text, built once: stdio passes it, files mode writes it
+        subst = {ph: _serialize(v, self.serializers[ph]) for ph, v in (("$INPUT$", x), ("$SEED$", y))
+                 if ph in self.command}
         if self.input_method == "stdio":
-            argv = self._argv(
-                {ph: _serialize(v, self.serializers[ph]) for ph, v in values.items() if ph in self.command}
-            )
-            out = self._run(argv, timeout)
-            return _parse_output(out, self.output_parser, output_length)
+            return _parse_output(self._run(self._argv(subst), timeout), self.output_parser, output_length)
         with tempfile.TemporaryDirectory(prefix="privamp-case-") as tmp:
-            subst = {}
-            for ph, v in values.items():
-                if ph in self.command:
-                    path = os.path.join(tmp, ph.strip("$").lower())
-                    with open(path, "w") as fh:
-                        fh.write(_serialize(v, self.serializers[ph]))
-                    subst[ph] = path
-            out_path = self.output_path or os.path.join(tmp, "output")
-            if self.output_path is not None and os.path.exists(out_path):
-                os.unlink(out_path)  # never read a previous case's output
-            if "$OUTPUT$" in self.command:
-                subst["$OUTPUT$"] = out_path
+            for ph, text in subst.items():
+                subst[ph] = os.path.join(tmp, ph.strip("$").lower())
+                with open(subst[ph], "w") as fh:
+                    fh.write(text)
+            subst["$OUTPUT$"] = self.output_path or os.path.join(tmp, "output")
+            if self.output_path is not None and os.path.exists(self.output_path):
+                os.unlink(self.output_path)  # never read a previous case's output
             self._run(self._argv(subst), timeout)
             try:
-                with open(out_path, "rb") as fh:
+                with open(subst["$OUTPUT$"], "rb") as fh:
                     return _parse_output(fh.read(), self.output_parser, output_length)
             except OSError as exc:
                 raise AdapterCrashed(f"could not read output file: {exc}") from exc
@@ -342,14 +337,19 @@ class Validator:
         except KeyError:
             raise InvalidRange(f"no implementation labelled {label!r}") from None
 
-    def _case(self, mode: str, index: int, rng_seed):
-        n, d = self.reference.input_length, self.reference.seed_length
-        if mode == "exhaustive":
-            xi, yi = divmod(index, 1 << d)
-            return BitString.from_int(xi, n), BitString.from_int(yi, d)
-        # one deterministic stream per case index, independent of scheduling
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(index,)))
-        return BitString.random(n, rng), BitString.random(d, rng)
+    def _case(self, mode: str, indices: range, rng_seed) -> tuple[np.ndarray, np.ndarray]:
+        """Cases ``indices`` as read-only (c, n) input and (c, d) seed views of one (c, n+d) array."""
+        n = self.reference.input_length
+        rows = np.empty((len(indices), n + self.reference.seed_length), dtype=np.uint8)
+        for row, i in zip(rows, indices):
+            if mode == "exhaustive":  # case i is the n+d bits of i
+                row[:] = BitString.from_int(i, row.size).bits
+            else:  # n then d bits of case i's own generator, whatever its chunk
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
+                row[:n] = rng.integers(0, 2, size=n, dtype=np.uint8)
+                row[n:] = rng.integers(0, 2, size=row.size - n, dtype=np.uint8)
+        rows.setflags(write=False)
+        return rows[:, :n], rows[:, n:]
 
     def validate(
         self,
@@ -365,57 +365,56 @@ class Validator:
         Exhaustive mode enumerates every (input, seed) pair and requires
         input_length + seed_length <= exhaustive_cap; random mode draws
         ``sample_size`` pairs from a per-index seeded generator, so a
-        report is exactly reproducible given ``rng_seed``.  Crashed
-        cases are recorded, not fatal.  ``timeout`` (seconds per case)
-        must lie in (0, 2147483], the longest wait that poll() can take.
-        ``workers`` cases run at once, :data:`DEFAULT_WORKERS` if None.
+        report is exactly reproducible given ``rng_seed`` (drawn once and
+        reported when None).  Crashed cases are recorded, not fatal.
+        ``timeout`` (seconds per case) must lie in (0, 2147483], the
+        longest wait that poll() can take.  ``workers`` cases run at once,
+        :data:`DEFAULT_WORKERS` if None.  A chunk of ``workers`` to 1024
+        cases holds at most 2**26 input and seed bits.  The stored failures
+        are the lowest indices: at most ``failure_cap``, and at most 2**28
+        bits of input, seed, expected and received output, or one case if
+        it alone is larger.
         """
         adapter = self._resolve(label)
-        width = self.reference.input_length + self.reference.seed_length
-        total, workers = _check_run(width, self.exhaustive_cap, mode, sample_size, rng_seed, timeout, workers)
+        n, d, m = self.reference.input_length, self.reference.seed_length, self.reference.output_length
+        total, workers = _check_run(n + d, self.exhaustive_cap, mode, sample_size, rng_seed, timeout, workers)
         if adapter.output_path is not None:
             workers = 1  # a fixed output path cannot be shared between cases
-        m = self.reference.output_length
+        if mode == "random" and rng_seed is None:
+            rng_seed = np.random.SeedSequence().entropy  # drawn once, so the report can name it
+        chunk = min(_CHUNK, max(workers, _CHUNK_BITS // (n + d)))
+        kept = min(self.failure_cap, max(1, _FAILURE_BITS // (n + d + 2 * m)))
 
-        def run_one(case):
-            index, x, y, expected = case
+        def run_one(index, x, y, expected):
             try:
-                got = adapter.run_case(x, y, m, timeout)
+                got, error = adapter.run_case(BitString._wrap(x), BitString._wrap(y), m, timeout), None
+                if np.array_equal(got.bits, expected):
+                    return None
             except AdapterCrashed as exc:
-                return FailedCase(index, x, y, BitString(expected), None, str(exc))
-            if not np.array_equal(got.bits, expected):
-                return FailedCase(index, x, y, BitString(expected), got)
-            return None
+                got, error = None, str(exc)
+            # copies: a view of a row would keep its whole chunk alive
+            return FailedCase(index, BitString(x), BitString(y), BitString(expected), got, error)
 
         started = time.perf_counter()
         failures, n_failed, n_crashed, visited = [], 0, 0, 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo in range(0, total, _CHUNK):
-                indices = range(lo, min(lo + _CHUNK, total))
-                xs, ys = zip(*(self._case(mode, i, rng_seed) for i in indices))
-                expected = self.reference.extract_many(
-                    np.stack([x.bits for x in xs]), np.stack([y.bits for y in ys])
-                )
+            for lo in range(0, total, chunk):
+                indices = range(lo, min(lo + chunk, total))
+                xs, ys = self._case(mode, indices, rng_seed)
+                results = pool.map(run_one, indices, xs, ys, self.reference.extract_many(xs, ys))
+                del xs, ys  # the queued rows alone hold the chunk, so it goes before the next is drawn
                 # map yields in index order, so the stored failures are the lowest indices
-                for failure in pool.map(run_one, zip(indices, xs, ys, expected)):
+                for failure in results:
                     visited += 1
                     if failure is not None:
                         n_failed += 1
-                        if failure.error is not None:
-                            n_crashed += 1
-                        if len(failures) < self.failure_cap:
+                        n_crashed += failure.error is not None
+                        if len(failures) < kept:
                             failures.append(failure)
         assert visited == total, f"visited {visited} of {total} cases"
-        return ValidationReport(
-            label=adapter.label,
-            mode=mode,
-            total=total,
-            rng_seed=rng_seed if mode == "random" else None,  # exhaustive mode draws nothing
-            failed=failures,
-            n_failed=n_failed,
-            n_crashed=n_crashed,
-            elapsed_s=time.perf_counter() - started,
-        )
+        return ValidationReport(  # exhaustive mode draws nothing, so it names no seed
+            label=adapter.label, mode=mode, total=total, rng_seed=rng_seed if mode == "random" else None,
+            failed=failures, n_failed=n_failed, n_crashed=n_crashed, elapsed_s=time.perf_counter() - started)
 
     def analyze_failed_test(self, report: ValidationReport) -> FailureDiagnosis:
         """Look for structure in the failing cases of a report.

@@ -149,6 +149,13 @@ def test_gf2_matvec_linear_over_xor():
 def test_gf2_matvec_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         gf2_matvec(np.eye(3, dtype=np.uint8), BitString("10"))
+    with pytest.raises(DimensionMismatch, match="need a 2-D matrix, got 1-D"):
+        gf2_matvec(np.ones(3, dtype=np.uint8), BitString("101"))
+
+
+def test_bitstring_of_a_2d_array_is_refused():
+    with pytest.raises(DimensionMismatch, match="one-dimensional"):
+        BitString(np.zeros((2, 3), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("matrix, vector, message", [

@@ -224,6 +224,17 @@ def test_validate_mutant_exit_code_and_analysis(thirdparty_bin, capsys):
     assert "bit 7" in out and "correlation 1.00" in out
 
 
+def test_validate_without_a_seed_prints_the_seed_it_drew(thirdparty_bin, capsys):
+    code, out, _ = run(
+        capsys,
+        "validate", "--type", "toeplitz", "-n", "3", "-m", "2",
+        "--command", thirdparty_command(thirdparty_bin, "toeplitz", 3, 2),
+        "--mode", "random", "--samples", "4",
+    )
+    assert code == 0
+    assert re.search(r"4/4 cases agree \(random mode, rng_seed=\d+, ", out)
+
+
 @pytest.mark.parametrize("timeout", ["0", "-1"])
 def test_validate_non_positive_timeout_exits_2(thirdparty_bin, capsys, timeout):
     # a correct implementation must never be reported as failing
@@ -442,6 +453,13 @@ def test_vectors_verify_parse_error_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "vectors", "verify", str(path))
     assert code == 2
     assert "line 4" in err
+
+
+def test_vectors_verify_of_a_missing_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing.rsp"
+    code, out, err = run(capsys, "vectors", "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
 
 def test_vectors_verify_file_without_config_exits_2(capsys, tmp_path):

@@ -70,6 +70,23 @@ def test_prime_field_matches_modular_arithmetic(p):
         assert field.mul_i(a, b) == (a * b) % p
 
 
+@pytest.mark.parametrize("q", [2**8, 257])
+def test_inverse_and_negative_powers(q):
+    field = GF(q)
+    for a in range(1, q):
+        inverse = field.inv_i(a)
+        assert field.mul_i(a, inverse) == 1
+        assert field.pow_i(a, -1) == inverse
+        assert field.pow_i(a, -3) == field.pow_i(inverse, 3)
+    with pytest.raises(ZeroDivisionError):
+        field.inv_i(0)
+
+
+def test_a_non_integer_is_not_an_element():
+    with pytest.raises(InvalidRange, match="1.5 is not an element encoding of GF"):
+        GF(8).mul_i(1.5, 1)
+
+
 def test_gf2l_add_is_xor_never_or():
     field = GF(8)
     # 3 | 5 == 7 but 3 ^ 5 == 6: OR-as-addition would get this wrong

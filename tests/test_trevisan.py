@@ -420,6 +420,29 @@ def test_trevisan_length_params_are_consistent(n, rel, eps, t):
     assert m + 1 > min(n, t**t) or k < required(m + 1)
 
 
+@pytest.mark.parametrize("rel, eps, t", [
+    (1.0, 1e-3, 2),  # t**t caps m at 4
+    (1.0, 1e-3, 4),  # t**t caps m at 256 from n ~ 1100
+    (0.9, 1e-2, 4),
+    (0.8, 1e-6, 8),
+    (0.6, 1e-4, 16),
+])
+def test_trevisan_length_is_the_largest_m_a_linear_scan_admits(rel, eps, t):
+    # the documented rule over every m in [1, n], with no assumption of monotonicity
+    for n in [*range(1, 40), *range(40, 2001, 53), 1999, 2000]:
+        l, s, k = t // 2, -(-n // (t // 2)), rel * n
+
+        def admits(m):
+            return m <= t**t and k >= l + 2 * math.log2(m / eps) + math.log2(s) + TWO_E * m
+
+        admitted = [m for m in range(1, n + 1) if admits(m)]
+        if not admitted:
+            with pytest.raises(NoFeasibleOutput):
+                calculate_length_trevisan(n, rel, eps, t)
+        else:
+            assert calculate_length_trevisan(n, rel, eps, t)[0] == max(admitted), n
+
+
 def test_trevisan_length_respects_design_cap():
     # plentiful entropy but t=2 caps the family at t**t = 4 sets
     m, _ = calculate_length_trevisan(2**12, 1.0, 1e-3, 2)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,6 +29,14 @@ from conftest import thirdparty_command
 
 
 # -- adapter configuration ------------------------------------------------
+
+
+def test_adapter_rejects_an_unknown_placeholder():
+    with pytest.raises(AdapterConfigError, match=r"^unknown placeholder '\$KEY\$'$"):
+        ImplementationAdapter(
+            label="x", command="./impl $SEED$ $INPUT$",
+            serializers={"$SEED$": "hex", "$INPUT$": "hex", "$KEY$": "hex"},
+        )
 
 
 def test_adapter_rejects_missing_serializer():
@@ -321,11 +330,119 @@ def test_exhaustive_report_carries_no_rng_seed(thirdparty_bin):
 def test_random_case_is_n_then_d_bits_of_its_own_stream(ext, rng_seed):
     # case i draws n bits, then d bits, from the generator of SeedSequence(rng_seed, spawn_key=(i,))
     validator = Validator(ext)
-    for index in (0, 1, 2, 511, 1024, 10**6):
+    indices = (0, 1, 2, 511, 1024, 10**6)
+    xs, ys = validator._case("random", indices, rng_seed)  # one chunk: a case's row does not change its bits
+    for row, index in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(index,)))
         x = rng.integers(0, 2, size=ext.input_length, dtype=np.uint8)
         y = rng.integers(0, 2, size=ext.seed_length, dtype=np.uint8)
-        assert validator._case("random", index, rng_seed) == (BitString(x), BitString(y))
+        assert (BitString(xs[row]), BitString(ys[row])) == (BitString(x), BitString(y))
+
+
+@pytest.mark.parametrize("ext", [ToeplitzExtractor(3, 2), ModifiedToeplitzExtractor(4, 2)])
+def test_exhaustive_case_is_the_n_plus_d_bits_of_its_index(ext):
+    # case i is input i >> d and seed i mod 2**d: read-only views of one array
+    n, d = ext.input_length, ext.seed_length
+    indices = range(3, 1 << (n + d))
+    xs, ys = Validator(ext)._case("exhaustive", indices, None)
+    assert xs.shape == (len(indices), n) and ys.shape == (len(indices), d)
+    assert not xs.flags.writeable and not ys.flags.writeable and xs.base is ys.base
+    for row, index in enumerate(indices):
+        assert (BitString(xs[row]), BitString(ys[row])) == (
+            BitString.from_int(index >> d, n), BitString.from_int(index % (1 << d), d))
+
+
+def in_process_validator(monkeypatch, ext, output=lambda ext, x, y: ext.extract(x, y)):
+    """A Validator whose one adapter answers ``output(ext, x, y)`` in process, with no launch."""
+    monkeypatch.setattr(ImplementationAdapter, "run_case", lambda self, x, y, m, t: output(ext, x, y))
+    validator = Validator(ext)
+    validator.add_implementation(label="in-process", command="true $SEED$ $INPUT$",
+                                 serializers={"$INPUT$": "hex", "$SEED$": "hex"}, probe=False)
+    return validator
+
+
+def recorded_chunks(monkeypatch):
+    """The (xs, ys) that each ``Validator._case`` call returns, in call order."""
+    chunks, real_case = [], Validator._case
+    monkeypatch.setattr(Validator, "_case", lambda *args: chunks.append(real_case(*args)) or chunks[-1])
+    return chunks
+
+
+@pytest.mark.parametrize("ext, workers, chunk_bits, sizes", [
+    (ToeplitzExtractor(3, 2), 2, 7 * 5 + 3, [5] * 10),  # 5 cases of 7 bits fit
+    (ToeplitzExtractor(3, 2), 8, 7 * 5 + 3, [8] * 6 + [2]),  # but every worker gets a case
+    (ModifiedToeplitzExtractor(128, 64), 4, None, [1024, 26]),  # 255 bits a case: 1024 a chunk
+], ids=["bits-bound", "workers-bound", "128-64"])
+def test_a_chunk_holds_at_most_its_bits_and_at_least_a_case_per_worker(monkeypatch, ext, workers, chunk_bits, sizes):
+    from privamp import validator as validator_module
+
+    if chunk_bits is not None:
+        monkeypatch.setattr(validator_module, "_CHUNK_BITS", chunk_bits)
+    validator = in_process_validator(monkeypatch, ext)
+    chunks = recorded_chunks(monkeypatch)
+    report = validator.validate(mode="random", sample_size=sum(sizes), rng_seed=1, workers=workers)
+    assert report.passed and [len(xs) for xs, _ in chunks] == sizes
+
+
+def test_validate_peak_memory_is_bounded_at_a_production_block_size(monkeypatch):
+    # 1024 cases of modified 2**16 -> 2**15 are two chunks of 64 MiB of input and seed
+    # bits; the first is gone before the second is drawn (per-case BitStrings restacked: 291 MiB)
+    validator = in_process_validator(monkeypatch, ModifiedToeplitzExtractor(2**16, 2**15))
+    sizes, real_case = [], Validator._case
+    monkeypatch.setattr(Validator, "_case", lambda self, mode, indices, seed: sizes.append(len(indices))
+                        or real_case(self, mode, indices, seed))
+    tracemalloc.start()
+    try:
+        report = validator.validate(mode="random", sample_size=1024, rng_seed=0, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.total == 1024 and sizes == [512, 512]  # 2**26 // (2**17 - 1)
+    assert peak <= 100 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_stored_failures_fit_their_bit_budget_as_copies_of_the_lowest_indices(monkeypatch):
+    from privamp import validator as validator_module
+
+    ext = ModifiedToeplitzExtractor(64, 32)
+    per_case = 64 + ext.seed_length + 2 * 32  # input, seed, expected and received bits
+    assert validator_module._FAILURE_BITS // (128 + 127 + 2 * 64) >= validator_module.DEFAULT_FAILURE_CAP  # 128->64
+    monkeypatch.setattr(validator_module, "_FAILURE_BITS", 8 * per_case - 1)
+    validator = in_process_validator(monkeypatch, ext, lambda ext, x, y: BitString(1 - ext.extract(x, y).bits))
+    chunks = recorded_chunks(monkeypatch)
+    report = validator.validate(mode="random", sample_size=40, rng_seed=3)
+    assert report.n_failed == 40 and report.n_crashed == 0
+    assert [case.index for case in report.failed] == list(range(7))
+    (xs, ys), = chunks
+    for case in report.failed:  # a view would keep the whole chunk alive
+        assert (case.input, case.seed) == (BitString(xs[case.index]), BitString(ys[case.index]))
+        assert not np.shares_memory(case.input.bits, xs) and not np.shares_memory(case.seed.bits, ys)
+        assert case.got == BitString(1 - case.expected.bits)
+
+
+def test_one_failure_is_stored_when_one_case_exceeds_the_budget(monkeypatch):
+    from privamp import validator as validator_module
+
+    monkeypatch.setattr(validator_module, "_FAILURE_BITS", 1)
+    validator = in_process_validator(monkeypatch, ToeplitzExtractor(3, 2), lambda ext, x, y: BitString("00"))
+    report = validator.validate(mode="exhaustive")
+    assert len(report.failed) == 1 and report.n_failed > 1
+    assert validator.analyze_failed_test(report).n_failures == 1
+
+
+def test_a_seedless_random_run_names_its_seed_and_replays(thirdparty_bin):
+    validator = make_validator(thirdparty_bin, ModifiedToeplitzExtractor(8, 4), mutation="drop-last-input-bit")
+    first = validator.validate(mode="random", sample_size=40)
+    assert isinstance(first.rng_seed, int) and f"rng_seed={first.rng_seed}," in first.summary()
+    again = validator.validate(mode="random", sample_size=40, rng_seed=first.rng_seed)
+    assert first.n_failed > 0 and again.rng_seed == first.rng_seed
+    assert [c.index for c in again.failed] == [c.index for c in first.failed]
+    assert [(c.input, c.seed) for c in again.failed] == [(c.input, c.seed) for c in first.failed]
+
+
+def test_validate_with_no_implementation_registered():
+    with pytest.raises(InvalidRange, match="^no implementation registered$"):
+        Validator(ToeplitzExtractor(3, 2)).validate(mode="exhaustive")
 
 
 def test_crashed_cases_recorded_not_fatal():
