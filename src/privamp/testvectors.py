@@ -28,9 +28,9 @@ a column is hashed by one ``extract_many`` call.  Parsing tiles text laid
 out as rendered (CRLF endings and uppercase hex too) with one regular
 expression; any other text goes to the line parser, tolerant of comment
 lines and blank-line spacing, strict on field names, '=' separators and
-hex validity.  Both decode each column at once; the line parser goes
-field by field only in the first 512-case chunk whose columns fail, to
-raise for its first bad line or field.
+hex validity.  Both decode each column at once; only if a column fails
+does the line parser go field by field from COUNT 0, to raise for the
+first bad line or field.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ SECTION = "EXTRACT"
 
 #: Timestamp line used when generation is deterministic (fixed rng seed).
 DETERMINISTIC_TIMESTAMP = "Thu Jan  1 00:00:00 1970"
-
-#: Cases per step of the line parser's search for a bad field: it decodes
-#: field by field only in the first chunk whose columns fail
-_CHUNK = 512
 
 _FIELD_RE = re.compile(r"^(\w+)\s*=\s*(\S*)\s*$")
 _HEADER_KV_RE = re.compile(r"^#\s*([^:]+?)\s*:\s*(.+?)\s*$")
@@ -129,37 +125,22 @@ class Case:
     output: BitString | None = None
 
 
-def _stack(values: list) -> np.ndarray:
-    """The bits of the BitStrings ``values`` as one read-only (c, width) array."""
-    if len({len(v) for v in values}) > 1:
-        raise LengthMismatch("the cases of a file must all have one width per field")
-    rows = np.stack([v.bits for v in values]) if values else np.empty((0, 0), dtype=np.uint8)
-    rows.setflags(write=False)
-    return rows
-
-
 class TestVectorFile:
     """A test vector file: header comment lines, section name and cases as columns.
 
-    Row i of ``inputs`` and ``seeds`` is the case numbered COUNT i.
-    ``outputs`` holds the OUTPUT rows, in order, of the cases that
-    ``has_output`` marks, and is None if no case carries one.  A file is
-    built from a list of :class:`Case` numbered 0, 1, ... in order,
-    stacked once, or from ``columns=(inputs, seeds, outputs)``, where
-    every case carries an OUTPUT unless ``has_output`` says which do.
+    ``columns`` is ``(inputs, seeds, outputs)``: row i of ``inputs`` and
+    ``seeds`` is the case numbered COUNT i, and ``outputs`` holds the
+    OUTPUT rows, in order, of the cases that ``has_output`` marks (every
+    case if None), or is None if no case carries one.  A file with no
+    cases holds (0, 0) columns whatever it is given.
     """
 
-    def __init__(self, header, section, cases=(), extractor_config=None, *, columns=None,
-                 has_output=None):
+    def __init__(self, header, section, columns, extractor_config=None, *, has_output=None):
         self.header = header  # comment lines, without the leading "# "
         self.section, self.extractor_config = section, extractor_config
-        if columns is None or not len(columns[0]):  # the cases, stacked once; no case, no widths
-            if any(case.count != row for row, case in enumerate(cases)):
-                raise InvalidRange(f"COUNTs must run 0, 1, ..., got {_first_counts([c.count for c in cases])}")
-            has_output = [c.output is not None for c in cases]
-            outputs = [c.output for c in cases if c.output is not None]
-            columns = (_stack([c.input for c in cases]), _stack([c.seed for c in cases]),
-                       _stack(outputs) if outputs else None)
+        if not len(columns[0]):  # no case, no widths
+            empty = np.empty((0, 0), dtype=np.uint8)
+            columns = (empty, empty, None)
         every = np.full(len(columns[0]), columns[2] is not None)
         self.has_output = every if has_output is None else np.asarray(has_output, dtype=bool)
         self.inputs, self.seeds, self.outputs = columns
@@ -235,7 +216,7 @@ def generate_test_vectors(
     header = ["CAVS", ext.vector_name, f"Input Length : {n}"]
     header += [f"Compression ratio: {ratio.numerator}/{ratio.denominator}"]
     header += [f"{k} : {v}" for k, v in params] + [f"Generated on {stamp}"]
-    return TestVectorFile(header, SECTION, extractor_config=config, columns=(xs, ys, outputs))
+    return TestVectorFile(header, SECTION, (xs, ys, outputs), config)
 
 
 def _config_from_header(header: list) -> VectorConfig | None:
@@ -314,13 +295,10 @@ def _parse_strict(text: str, extractor_config: VectorConfig | None) -> TestVecto
 
 def _file_from_hex(header, section, config, inputs, seeds, outputs, has_output=None):
     """The file of the hex columns ``inputs``, ``seeds`` and ``outputs``, one decode each."""
-    if not inputs:
-        return TestVectorFile(header, section, [], config)
-    xs = _unhex_rows(inputs, config.input_length)
-    ys = _unhex_rows(seeds, config.seed_length)
+    if inputs:  # a file with no case may have no configuration either
+        inputs, seeds = _unhex_rows(inputs, config.input_length), _unhex_rows(seeds, config.seed_length)
     outputs = _unhex_rows(outputs, config.output_length) if outputs else None
-    return TestVectorFile(header, section, extractor_config=config, columns=(xs, ys, outputs),
-                          has_output=has_output)
+    return TestVectorFile(header, section, (inputs, seeds, outputs), config, has_output=has_output)
 
 
 def _parse_lines(text: str, extractor_config: VectorConfig | None) -> TestVectorFile:
@@ -363,41 +341,28 @@ def _parse_lines(text: str, extractor_config: VectorConfig | None) -> TestVector
     config = extractor_config or _config_from_header(header)
     if raw_cases and config is None:
         raise ParseError("extractor configuration not found in header")
-    if (file := _decoded(header, section, config, raw_cases)) is not None:
-        return file
-    for lo in range(0, len(raw_cases), _CHUNK):  # field by field only in the first chunk that fails
-        chunk = raw_cases[lo : lo + _CHUNK]
-        if _decoded(header, section, config, chunk, lo) is not None:
-            continue
-        for expected, raw in enumerate(chunk, start=lo):
-            count, count_line = raw["COUNT"]
-            if count != expected:
-                raise ParseError(f"COUNT {count} out of order (expected {expected})", line=count_line)
-            for required in ("INPUT", "SEED"):
-                if required not in raw:
-                    raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
-            for name in [name for name in ("INPUT", "SEED", "OUTPUT") if name in raw]:
-                (value, line_no), length = raw[name], getattr(config, f"{name.lower()}_length")
-                try:
-                    hex_decode(value, length)
-                except LengthMismatch as exc:
-                    raise LengthInconsistency(f"{name}: {exc}", line=line_no) from None
-                except PrivampError as exc:
-                    raise ParseError(f"{name}: {exc}", line=line_no) from None
+    if all(r["COUNT"][0] == i and "INPUT" in r and "SEED" in r for i, r in enumerate(raw_cases)):
+        columns = [[r[name][0] for r in raw_cases if name in r] for name in ("INPUT", "SEED", "OUTPUT")]
+        try:  # one decode per column
+            return _file_from_hex(header, section, config, *columns, ["OUTPUT" in r for r in raw_cases])
+        except PrivampError:
+            pass  # a column is bad: its first bad field is sought below
+    for expected, raw in enumerate(raw_cases):  # field by field, up to the first bad line or field
+        count, count_line = raw["COUNT"]
+        if count != expected:
+            raise ParseError(f"COUNT {count} out of order (expected {expected})", line=count_line)
+        for required in ("INPUT", "SEED"):
+            if required not in raw:
+                raise ParseError(f"COUNT {count} is missing {required}", line=count_line)
+        for name in [name for name in ("INPUT", "SEED", "OUTPUT") if name in raw]:
+            (value, line_no), length = raw[name], getattr(config, f"{name.lower()}_length")
+            try:
+                hex_decode(value, length)
+            except LengthMismatch as exc:
+                raise LengthInconsistency(f"{name}: {exc}", line=line_no) from None
+            except PrivampError as exc:
+                raise ParseError(f"{name}: {exc}", line=line_no) from None
     raise AssertionError("a column failed to decode but none of its fields did")
-
-
-def _decoded(header, section, config, raw_cases: list, lo: int = 0) -> TestVectorFile | None:
-    """The file of ``raw_cases`` (COUNT ``lo`` on), one decode per column; None if any is bad."""
-    if any(r["COUNT"][0] != i or "INPUT" not in r or "SEED" not in r
-           for i, r in enumerate(raw_cases, start=lo)):
-        return None
-    columns = [[r[name][0] for r in raw_cases if name in r] for name in ("INPUT", "SEED", "OUTPUT")]
-    has_output = np.array(["OUTPUT" in r for r in raw_cases], dtype=bool)
-    try:
-        return _file_from_hex(header, section, config, *columns, has_output)
-    except PrivampError:
-        return None
 
 
 @dataclass

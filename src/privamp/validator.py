@@ -67,6 +67,8 @@ def _check_run(width, exhaustive_cap, mode, sample_size, rng_seed, timeout, work
     its arguments with it before it builds the reference and probes the command.
     """
     _check_timeout(timeout)
+    if workers is not None and workers < 1:
+        raise InvalidRange(f"workers must be >= 1, got {workers}")
     if rng_seed is not None and rng_seed < 0:
         raise InvalidRange(f"rng_seed must be >= 0, got {rng_seed}")
     if mode == "exhaustive":
@@ -79,7 +81,7 @@ def _check_run(width, exhaustive_cap, mode, sample_size, rng_seed, timeout, work
         total = sample_size
     else:
         raise InvalidRange(f"unknown mode {mode!r}")
-    return total, max(1, DEFAULT_WORKERS if workers is None else workers)
+    return total, DEFAULT_WORKERS if workers is None else workers
 
 
 def _serialize(value: BitString, fmt: str) -> str:
@@ -368,8 +370,8 @@ class Validator:
         report is exactly reproducible given ``rng_seed`` (drawn once and
         reported when None).  Crashed cases are recorded, not fatal.
         ``timeout`` (seconds per case) must lie in (0, 2147483], the
-        longest wait that poll() can take.  ``workers`` cases run at once,
-        :data:`DEFAULT_WORKERS` if None.  A chunk of ``workers`` to 1024
+        longest wait that poll() can take.  ``workers`` (>= 1) cases run at
+        once, :data:`DEFAULT_WORKERS` if None.  A chunk of ``workers`` to 1024
         cases holds at most 2**26 input and seed bits.  The stored failures
         are the lowest indices: at most ``failure_cap``, and at most 2**28
         bits of input, seed, expected and received output, or one case if

@@ -298,7 +298,10 @@ def test_validate_unlaunchable_exits_4(capsys):
     (["--mode", "random"], "random mode needs sample_size"),
     (["--mode", "random", "--samples", "0"], "random mode needs sample_size"),
     (["--exhaustive-cap", "6"], "exhaustive mode needs input+seed <= 6"),
-], ids=["timeout", "rng-seed", "no-samples", "zero-samples", "exhaustive-cap"])
+    (["--workers", "0"], "workers must be >= 1, got 0"),
+    (["--workers", "-3"], "workers must be >= 1, got -3"),
+], ids=["timeout", "rng-seed", "no-samples", "zero-samples", "exhaustive-cap", "zero-workers",
+        "negative-workers"])
 def test_validate_argument_errors_exit_2_before_the_probe(capsys, args, message):
     # the probe would sleep 2 s: a bad argument must be reported without launching it
     started = time.perf_counter()

@@ -181,8 +181,8 @@ def test_parse_of_render_is_identity(file):
 @st.composite
 def constructed_files(draw):
     """A file the constructor accepts: standard or modified Toeplitz up to n = 40, 0 to 30
-    cases with every, no or some OUTPUT, built from ``cases=`` or from ``columns=``."""
-    from privamp.testvectors import Case, TestVectorFile
+    cases with every, no or some OUTPUT, built from its columns and OUTPUT mask."""
+    from privamp.testvectors import TestVectorFile
 
     n = draw(st.integers(2, 40))
     if draw(st.booleans()):
@@ -199,13 +199,8 @@ def constructed_files(draw):
     outputs = outputs if has_output.any() else None  # None when no case carries an OUTPUT
     header = ["CAVS", ext.vector_name, f"Input Length : {n}", f"Output Length : {m}"]
     config = VectorConfig(ext.vector_name, n, m)
-    if draw(st.booleans()):
-        return TestVectorFile(header, "EXTRACT", extractor_config=config, columns=(xs, ys, outputs),
-                              has_output=has_output)
-    rows = iter(() if outputs is None else outputs)
-    cases = [Case(k, BitString(x), BitString(y), BitString(next(rows)) if present else None)
-             for k, (x, y, present) in enumerate(zip(xs, ys, has_output))]
-    return TestVectorFile(header, "EXTRACT", cases, config)
+    return TestVectorFile(header, "EXTRACT", columns=(xs, ys, outputs), extractor_config=config,
+                          has_output=has_output)
 
 
 @settings(max_examples=150, deadline=None)
@@ -530,7 +525,7 @@ def oracle_parse(text, extractor_config=None):
     """The case-by-case parser: every field decoded alone, in file order."""
     from privamp.bits import hex_decode
     from privamp.exceptions import LengthMismatch
-    from privamp.testvectors import _FIELD_RE, Case, TestVectorFile, _config_from_header
+    from privamp.testvectors import _FIELD_RE, TestVectorFile, _config_from_header
 
     def decode(value, length, line_no, name):
         try:
@@ -579,7 +574,7 @@ def oracle_parse(text, extractor_config=None):
     config = extractor_config or _config_from_header(header)
     if raw_cases and config is None:
         raise ParseError("extractor configuration not found in header")
-    cases = []
+    rows = []  # (input bits, seed bits, output or None) of each case
     for expected_count, raw in enumerate(raw_cases):
         count, count_line = raw["COUNT"]
         if count != expected_count:
@@ -594,8 +589,12 @@ def oracle_parse(text, extractor_config=None):
         out = None
         if "OUTPUT" in raw:
             out = decode(raw["OUTPUT"][0], config.output_length, raw["OUTPUT"][1], "OUTPUT")
-        cases.append(Case(count, x, y, out))
-    return TestVectorFile(header=header, section=section, cases=cases, extractor_config=config)
+        rows.append((x.bits, y.bits, out))
+    xs, ys, outs = zip(*rows) if rows else ((), (), ())
+    outputs = [out.bits for out in outs if out is not None]
+    columns = (np.array(xs), np.array(ys), np.array(outputs) if outputs else None)
+    return TestVectorFile(header, section, columns=columns, extractor_config=config,
+                          has_output=[out is not None for out in outs])
 
 
 def assert_parse_parity(text):
@@ -770,7 +769,7 @@ def test_other_layouts_take_the_line_parser_once(line_parser_calls, monkeypatch,
 
 
 @pytest.mark.parametrize("count", [3, 1099])
-def test_a_bad_field_is_sought_field_by_field_in_one_chunk_only(monkeypatch, count):
+def test_the_field_by_field_search_stops_at_the_first_bad_field(monkeypatch, count):
     from privamp import testvectors
     from privamp.bits import hex_decode
 
@@ -789,7 +788,8 @@ def test_a_bad_field_is_sought_field_by_field_in_one_chunk_only(monkeypatch, cou
     with pytest.raises(ParseError) as expected:
         oracle_parse(text)
     assert (str(raised.value), raised.value.line) == (str(expected.value), expected.value.line)
-    assert len(decoded) == 3 * (count % 512) + 2
+    # INPUT, SEED and OUTPUT of each case before it, then its INPUT and bad SEED
+    assert len(decoded) == 3 * count + 2
 
 
 # -- bounded lists of COUNTs ------------------------------------------------------
@@ -842,37 +842,11 @@ def test_partial_outputs_round_trip_with_a_mask():
     assert file.cases[700].output is None and file.cases[701].output is not None
 
 
-def test_a_case_list_is_numbered_by_its_rows():
-    # COUNT is the row: a file of Case(5, ...) would verify and render, then fail to parse
-    from privamp.testvectors import Case, TestVectorFile
-
-    ext, x, y = ToeplitzExtractor(4, 2), BitString("0101"), BitString("11011")
-    case = Case(5, x, y, ext.extract(x, y))
-    with pytest.raises(InvalidRange, match=r"^COUNTs must run 0, 1, \.\.\., got 5$"):
-        TestVectorFile(["CAVS"], "EXTRACT", [case])
-    with pytest.raises(InvalidRange, match=r"got 0, 2$"):
-        TestVectorFile(["CAVS"], "EXTRACT", [Case(0, x, y), Case(2, x, y)])
-    file = TestVectorFile(["CAVS"], "EXTRACT", [Case(0, x, y), Case(1, x, y)])
-    assert [c.count for c in file.cases] == [0, 1] and not hasattr(file, "counts")
-
-
-def test_cases_of_different_widths_cannot_make_a_file():
-    from privamp.exceptions import LengthMismatch
-    from privamp.testvectors import Case, TestVectorFile
-
-    cases = [Case(0, BitString("0101"), BitString("11")), Case(1, BitString("010"), BitString("11"))]
-    with pytest.raises(LengthMismatch):
-        TestVectorFile(["CAVS"], "EXTRACT", cases)
-
-
 def test_a_file_is_as_wide_as_its_configuration():
     # such a file would render, but its text would not parse
     from privamp.exceptions import LengthMismatch
-    from privamp.testvectors import Case, TestVectorFile
+    from privamp.testvectors import TestVectorFile
 
-    case = Case(0, BitString.zeros(8), BitString.zeros(7))
-    with pytest.raises(LengthMismatch, match="^inputs are 8 bits, the configuration says 128$"):
-        TestVectorFile(["CAVS"], "EXTRACT", [case], VectorConfig("ModifiedToeplitzHashing", 128, 64))
     config = VectorConfig("ToeplitzHashing", 8, 4)  # seeds of 8 + 4 - 1 bits
     xs, ys, outputs = (np.zeros((2, width), np.uint8) for width in (8, 11, 4))
     for columns, message in [((xs[:, 1:], ys, outputs), "inputs are 7 bits"),

@@ -278,6 +278,14 @@ def test_validate_rejects_a_negative_rng_seed_before_any_case(thirdparty_bin, mo
         validator.validate(mode=mode, sample_size=4, rng_seed=-5)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_validate_rejects_fewer_than_one_worker_before_any_case(thirdparty_bin, monkeypatch, workers):
+    validator = make_validator(thirdparty_bin, ToeplitzExtractor(3, 2))
+    monkeypatch.setattr(Validator, "_case", lambda *args: pytest.fail("a case was drawn"))
+    with pytest.raises(InvalidRange, match=f"^workers must be >= 1, got {workers}$"):
+        validator.validate(mode="random", sample_size=4, rng_seed=0, workers=workers)
+
+
 def test_drop_last_bit_mutant_detected_and_analyzed(thirdparty_bin):
     ext = ModifiedToeplitzExtractor(8, 4)
     validator = make_validator(thirdparty_bin, ext, mutation="drop-last-input-bit")
@@ -759,12 +767,14 @@ def test_label_resolution_with_multiple_implementations(thirdparty_bin):
 
 
 def test_worker_count_is_an_argument(monkeypatch):
-    # None runs DEFAULT_WORKERS whatever the environment holds; fewer than 1 runs 1
+    # None runs DEFAULT_WORKERS whatever the environment holds; fewer than 1 is refused
     from privamp.validator import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_WORKERS, _check_run
 
     monkeypatch.setenv("PRIVAMP_WORKERS", "1")
     assert _check_run(4, DEFAULT_EXHAUSTIVE_CAP, "random", 4, 0, 1.0, None) == (4, DEFAULT_WORKERS)
-    assert _check_run(4, DEFAULT_EXHAUSTIVE_CAP, "random", 4, 0, 1.0, 0) == (4, 1)
+    assert _check_run(4, DEFAULT_EXHAUSTIVE_CAP, "random", 4, 0, 1.0, 1) == (4, 1)
+    with pytest.raises(InvalidRange, match="^workers must be >= 1, got 0$"):
+        _check_run(4, DEFAULT_EXHAUSTIVE_CAP, "random", 4, 0, 1.0, 0)
 
 
 def test_validate_queues_at_most_one_chunk(thirdparty_bin, monkeypatch):
