@@ -149,14 +149,12 @@ class GaloisField:
 
     # -- integer-level arithmetic ---------------------------------------
 
+    def _add(self, a: int, b: int) -> int:  # a and b already checked
+        return (a + b) % self.characteristic if self.degree == 1 else a ^ b
+
     def add_i(self, a: int, b: int) -> int:
         """a + b, coefficient-wise."""
-        self._check(a)
-        self._check(b)
-        p, e = self.characteristic, self.degree
-        if e == 1:
-            return (a + b) % p
-        return a ^ b
+        return self._add(self._check(a), self._check(b))
 
     def mul_i(self, a: int, b: int) -> int:
         self._check(a)
@@ -201,7 +199,7 @@ class GaloisField:
         self._check(x)
         acc = 0
         for c in reversed(list(coeffs)):
-            acc = self.add_i(self.mul_i(acc, x), self._check(c))
+            acc = self._add(self.mul_i(acc, x), self._check(c))
         return acc
 
     def __repr__(self):

@@ -84,9 +84,9 @@ class VectorConfig:
     output_length: int
     params: tuple = ()  # extra (key, value) header parameters
 
-    @property
+    @functools.cached_property
     def seed_length(self) -> int:
-        """The seed length the header implies, by arithmetic alone: no extractor is built.
+        """The seed length the header implies, by arithmetic alone, read once: no extractor is built.
 
         A file as wide as its header holds t*t seed and m output bits per case, so
         its Trevisan extractor (m*t design steps, GF(2^(t/2))) is polynomial in its size.

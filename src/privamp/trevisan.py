@@ -4,11 +4,11 @@ The output bit i is a one-bit extraction of the whole input against the
 seed bits selected by set S_i of a weak design; the designs here are
 the finite-field polynomial family over GF(t) with d = t*t.
 
-Coefficient ordering conventions are normative because silent ordering
-drift changes outputs without breaking anything visibly: the one-bit
-extractor interprets input chunks in descending degree order (leftmost
-chunk is the highest-degree coefficient), while generic polynomial
-evaluation in :mod:`privamp.fields` is ascending.
+Coefficient order is normative, since a silent change of it changes
+outputs and breaks nothing visibly: the leftmost input chunk is the
+highest-degree coefficient, so the one-bit extractor passes its chunks
+to :meth:`GaloisField.eval_poly_i` in ascending degree, rightmost first.
+An output bit costs O(n) bit operations plus s field multiplications.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _hex_rows
 from .exceptions import InvalidRange, NoFeasibleOutput, TooManySets
 from .extractor import SeededExtractor, check_source_parameters
 from .fields import GF, _digits, prime_power
@@ -235,15 +235,10 @@ class PolynomialOneBitExtractor(SeededExtractor):
     def extract_bit(self, x: BitString, y: BitString) -> int:
         x, y = self._check_lengths(x, y)
         l, s = self._l, self._chunks
-        alpha = y[:l].to_int()
-        beta = y[l:].to_int()
-        padded = x.to_int() << (s * l - self.input_length)
-        mask = (1 << l) - 1
-        value = 0
-        for j in range(s):  # descending degree, leftmost chunk first
-            chunk = (padded >> ((s - 1 - j) * l)) & mask
-            value = self._field.mul_i(value, alpha) ^ chunk
-        return (value & beta).bit_count() & 1
+        alpha, beta = y[:l].to_int(), y[l:].to_int()
+        rows = np.concatenate([x.bits, np.zeros(s * l - self.input_length, np.uint8)]).reshape(s, l)
+        chunks = [int(h, 16) for h in _hex_rows(rows[::-1])]  # ascending degree: the rightmost chunk first
+        return (self._field.eval_poly_i(chunks, alpha) & beta).bit_count() & 1
 
     def extract(self, x: BitString, y: BitString) -> BitString:
         return BitString([self.extract_bit(x, y)])
@@ -266,9 +261,9 @@ class TrevisanParams:
     source_entropy: float
 
 
-def _one_bit_entropy_required(l: int, s: int, per_bit_error: float) -> float:
-    # conservative requirement for the polynomial one-bit extractor
-    return l + 2 * math.log2(1 / per_bit_error) + math.log2(s)
+def _one_bit_entropy_required(l: int, s: int, m: int, error_bound: float) -> float:
+    # conservative requirement for the polynomial one-bit extractor at per-bit error error_bound / m
+    return l + 2 * (math.log2(m) - math.log2(error_bound)) + math.log2(s)
 
 
 def calculate_length_trevisan(
@@ -284,8 +279,9 @@ def calculate_length_trevisan(
     (k, m*e1)-strong extractor, so the per-bit error budget is
     error_bound / m and the total entropy requirement is
     k >= k1(e1) + r*m with r = 2e and
-    k1 = l + 2*log2(1/e1) + log2(s).  The result is monotone
-    non-decreasing in both the source entropy and the error bound.
+    k1 = l + 2*log2(1/e1) + log2(s), whose log2(1/e1) is taken as
+    log2(m) - log2(error_bound), in range for a subnormal error bound.
+    The result is monotone non-decreasing in the entropy and the error bound.
     """
     check_source_parameters(input_length, relative_source_entropy, error_bound)
     t = one_bit_seed_length
@@ -296,14 +292,14 @@ def calculate_length_trevisan(
 
     def feasible(m: int) -> bool:
         # the design's t**t cap, then the entropy that the composition rule asks for
-        return _degree_cap(m, t) < t and k >= _one_bit_entropy_required(l, s, error_bound / m) + r * m
+        return _degree_cap(m, t) < t and k >= _one_bit_entropy_required(l, s, m, error_bound) + r * m
 
     # feasible is monotone decreasing in m, so the largest feasible m is the number of them
     m = bisect.bisect_left(range(1, input_length + 1), True, key=lambda m: not feasible(m))
     if m == 0:
         raise NoFeasibleOutput("source entropy too low for even one output bit at these parameters")
     e1 = error_bound / m
-    k1 = _one_bit_entropy_required(l, s, e1)
+    k1 = _one_bit_entropy_required(l, s, m, error_bound)
     params = TrevisanParams(
         output_length=m,
         one_bit_seed_length=t,

@@ -10,6 +10,7 @@ import pytest
 import privamp
 from privamp import toeplitz, trevisan, validator
 from privamp.cli import build_parser, main
+from privamp.exceptions import NoFeasibleOutput
 from privamp.fields import GaloisField
 from privamp.trevisan import FiniteFieldPolynomialDesign
 
@@ -183,6 +184,17 @@ def test_params_trevisan_needs_t(capsys):
     )
     assert code == 2
     assert "--one-bit-seed-length" in err
+
+
+def test_params_trevisan_subnormal_error_bound_exits_2(capsys):
+    # error / m underflows to zero from m = 2 on, so its log is taken as log2(m) - log2(error)
+    code, out, err = run(
+        capsys,
+        "params", "--type", "trevisan", "-n", "1000", "--one-bit-seed-length", "16",
+        "--entropy", "0.9", "--error", "5e-324",
+    )
+    assert (code, out) == (NoFeasibleOutput.exit_code, "")
+    assert err == "error: source entropy too low for even one output bit at these parameters\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -792,6 +792,26 @@ def test_the_field_by_field_search_stops_at_the_first_bad_field(monkeypatch, cou
     assert len(decoded) == 3 * count + 2
 
 
+def test_a_parse_reads_the_seed_length_rule_once(monkeypatch):
+    calls = []
+    rule = ModifiedToeplitzExtractor._seed_length_for
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return rule(*args, **kwargs)
+
+    text = generate_test_vectors(ModifiedToeplitzExtractor(128, 64), count=1100, rng_seed=3).render()
+    # a comment between cases keeps the text out of the strict pass, so the search reads every case
+    text = edit_case(text.replace("\nCOUNT = 1\n", "# c\n\nCOUNT = 1\n"), 1099, "SEED", lambda v: v[:-1] + "g")
+    monkeypatch.setattr(ModifiedToeplitzExtractor, "_seed_length_for", staticmethod(counting))
+    with pytest.raises(ParseError) as raised:
+        parse_vector_file(text)
+    assert (type(raised.value), str(raised.value), raised.value.line) == (
+        ParseError, "line 5507: SEED: invalid hex digit(s): ['g']", 5507
+    )
+    assert len(calls) == 1
+
+
 # -- bounded lists of COUNTs ------------------------------------------------------
 
 

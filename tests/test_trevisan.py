@@ -1,8 +1,11 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privamp import (
     GF,
@@ -263,6 +266,17 @@ def one_bit_oracle(x, y, l):
     return bin(acc & beta).count("1") & 1
 
 
+@pytest.mark.parametrize("l", [1, 2, 4, 8, 16, 32, 64, 128])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_bit_matches_the_oracle_at_every_field_size(l, data):
+    # n up to 3l + 5: inputs that fill their last chunk and inputs padded with zeros
+    n = data.draw(st.integers(1, 3 * l + 5), label="n")
+    x = BitString.from_int(data.draw(st.integers(0, 2**n - 1), label="x"), n)
+    y = BitString.from_int(data.draw(st.integers(0, 2 ** (2 * l) - 1), label="y"), 2 * l)
+    assert PolynomialOneBitExtractor(n, 2 * l).extract_bit(x, y) == one_bit_oracle(x, y, l)
+
+
 def trevisan_oracle(ext, x, y):
     bits = []
     for s in ext.design.sets:
@@ -441,6 +455,20 @@ def test_trevisan_length_is_the_largest_m_a_linear_scan_admits(rel, eps, t):
                 calculate_length_trevisan(n, rel, eps, t)
         else:
             assert calculate_length_trevisan(n, rel, eps, t)[0] == max(admitted), n
+
+
+def test_trevisan_length_with_an_error_bound_whose_inverse_overflows():
+    # 1 / (eps / m) is inf in floats; the rule with log2(m / eps) taken from integers
+    n, rel, eps, t = 10**6, 0.9, 1e-310, 16
+    l, s, k, e = t // 2, -(-n // (t // 2)), rel * n, Fraction(eps)
+
+    def admits(m):
+        log_m_over_eps = math.log2(m * e.denominator) - math.log2(e.numerator)
+        return k >= l + 2 * log_m_over_eps + math.log2(s) + TWO_E * m
+
+    m = calculate_length_trevisan(n, rel, eps, t)[0]
+    assert m == 165155
+    assert admits(m) and not admits(m + 1)
 
 
 def test_trevisan_length_respects_design_cap():
