@@ -165,17 +165,18 @@ def _available_memory() -> int | None:
     return min(free, default=None)
 
 
-def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
+def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """The window of :func:`_block_exact` for d[t] = y[(t + shift) mod q], 0 <= shift <= q, via real FFT.
 
-    A cyclic convolution of size L >= q folds the linear coefficients L
-    and above onto indices at most q+k-2-L <= k-2, so the window
-    k-1 .. q-1 is free of wrap-around.  While m and k fit in a block,
-    ``y`` and ``x`` may carry a leading batch axis, (c, q) and (c, k): one
-    transform along the last axis then serves every row.
+    A cyclic convolution of size L >= q folds the linear coefficients L and above onto
+    indices at most q+k-2-L <= k-2, so the window k-1 .. q-1 is free of wrap-around.
+    While m and k fit in a block, ``y`` and ``x`` may carry a leading batch axis, (c, q)
+    and (c, k): one transform along the last axis then serves every row.  The window
+    goes to ``out``, a uint8 array of its shape (new if None).
     """
     q, k = y.shape[-1], x.shape[-1]
     m, b = q - k + 1, _BLOCK
+    out = np.empty(x.shape[:-1] + (m,), np.uint8) if out is None else out
     if max(m, k) <= b:
         size, rows = 1 << max(0, q - 1).bit_length(), x.shape[:-1]
         frame, (spectrum, xs) = np.empty(rows + (size,)), np.empty((2, *rows, size // 2 + 1), complex)
@@ -183,7 +184,8 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
         np.fft.rfft(frame[..., :q], size, out=spectrum)
         frame[..., :k] = x
         spectrum *= np.fft.rfft(frame[..., :k], size, out=xs)
-        return _rounded_bits(np.fft.irfft(spectrum, size, out=frame)[..., k - 1 : q]).astype(np.uint8)
+        out[...] = _rounded_bits(np.fft.irfft(spectrum, size, out=frame)[..., k - 1 : q])
+        return out
     mb, kb = -(-m // b), -(-k // b)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     g = min(cpus, mb)  # output blocks per round
@@ -191,7 +193,7 @@ def _block_fft(y: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
     need, free = 16 * (b + 1) * (kb + r + 2 * cpus) + m, _available_memory()
     if free is not None and need > free:
         raise InsufficientMemory(f"the FFT workspace needs {need} bytes, {free} are available")
-    spectra, out, local = np.empty((kb + r + 2 * cpus, b + 1), complex), np.empty(m, np.uint8), threading.local()
+    spectra, local = np.empty((kb + r + 2 * cpus, b + 1), complex), threading.local()
     xr, ring, slots = spectra[:kb], spectra[kb : kb + r], list(spectra[kb + r :].reshape(cpus, 2, b + 1))
 
     def forward(dst, lo, hi, src=y, shift=shift):  # rfft(d[lo:hi], 2b), d[t] = src[(t+shift) % n], 0 at t < 0
@@ -271,35 +273,33 @@ class _ToeplitzBlockExtractor(SeededExtractor):
 
         ``x`` and ``y`` may carry a leading batch axis: (c, n) and (c, d)
         arrays of 0/1, checked in place, give a read-only (c, m) uint8 array
-        whose row i hashes x[i] with y[i], in blocks (module docstring: "Many cases").
+        whose row i hashes x[i] with y[i], in blocks (module docstring: "Many cases"); one case is a one-row column.
         """
         if method not in ("fft", "exact", "matrix"):
             raise InvalidRange(f"unknown method {method!r}")
-        if not (isinstance(x, np.ndarray) and x.ndim == 2):
-            x, y = self._check_lengths(x, y)
-            out = self._hash(x.bits, y.bits, method)
-            out.setflags(write=False)
-            return BitString._wrap(out)  # a new 1-D array of 0/1: nothing to copy or check
-        xs, ys = self._check_rows(x, y)
+        one = not (isinstance(x, np.ndarray) and x.ndim == 2)
+        xs, ys = (v.bits[None] for v in self._check_lengths(x, y)) if one else self._check_rows(x, y)
         rows = 1  # a partitioned transform, "exact" and "matrix" take one 1-D row
         if method == "fft" and max(self.output_length, self._k) <= _BLOCK:
             rows = max(1, _BATCH_POINTS >> max(0, self.seed_length - 1).bit_length())
         out = np.empty((len(xs), self.output_length), dtype=np.uint8)
         for lo in range(0, len(xs), rows):
             block = slice(lo, lo + rows) if rows > 1 else lo
-            out[block] = self._hash(xs[block], ys[block], method)
+            self._hash(xs[block], ys[block], method, out[block])
         out.setflags(write=False)
-        return out
+        return BitString._wrap(out[0]) if one else out  # a new row of 0/1: nothing to copy or check
 
-    def _hash(self, x: np.ndarray, y: np.ndarray, method: str) -> np.ndarray:
-        """The hash of checked bits ``x`` with ``y``, along the last axis."""
+    def _hash(self, x: np.ndarray, y: np.ndarray, method: str, out: np.ndarray) -> None:
+        """The hash of checked bits ``x`` with ``y``, along the last axis, written to ``out``."""
         if method == "matrix":
-            return gf2_matvec(self.to_matrix(y), x)
+            out[...] = gf2_matvec(self.to_matrix(y), x)
+            return
         m, k = self.output_length, self._k
-        out = (_block_fft(y, x[..., :k], m) if method == "fft"  # the q diagonals: y rotated by k-1
-               else _block_exact(np.concatenate((y[..., m:], y[..., :m]), axis=-1), x[..., :k]))
+        if method == "fft":
+            _block_fft(y, x[..., :k], m, out)  # the q diagonals: y rotated by k-1
+        else:
+            out[...] = _block_exact(np.concatenate((y[..., m:], y[..., :m]), axis=-1), x[..., :k])
         out[..., : self.input_length - k] ^= x[..., k:]
-        return out
 
     def extract_many(self, xs, ys) -> np.ndarray:
         """:meth:`SeededExtractor.extract_many`: the columns checked in place, then one batch ``extract``."""

@@ -8,7 +8,7 @@ Coefficient order is normative, since a silent change of it changes
 outputs and breaks nothing visibly: the leftmost input chunk is the
 highest-degree coefficient, so the one-bit extractor passes its chunks
 to :meth:`GaloisField.eval_poly_i` in ascending degree, rightmost first.
-An output bit costs O(n) bit operations plus s field multiplications.
+One O(n) split of the input serves every output bit; each then costs s field multiplications.
 """
 
 from __future__ import annotations
@@ -234,11 +234,14 @@ class PolynomialOneBitExtractor(SeededExtractor):
 
     def extract_bit(self, x: BitString, y: BitString) -> int:
         x, y = self._check_lengths(x, y)
+        return self._bits(x, [y])[0]
+
+    def _bits(self, x: BitString, seeds) -> list[int]:
+        """The output bit of checked ``x`` for each checked seed that ``seeds`` yields, from one split of x."""
         l, s = self._l, self._chunks
-        alpha, beta = y[:l].to_int(), y[l:].to_int()
         rows = np.concatenate([x.bits, np.zeros(s * l - self.input_length, np.uint8)]).reshape(s, l)
         chunks = [int(h, 16) for h in _hex_rows(rows[::-1])]  # ascending degree: the rightmost chunk first
-        return (self._field.eval_poly_i(chunks, alpha) & beta).bit_count() & 1
+        return [(self._field.eval_poly_i(chunks, y[:l].to_int()) & y[l:].to_int()).bit_count() & 1 for y in seeds]
 
     def extract(self, x: BitString, y: BitString) -> BitString:
         return BitString([self.extract_bit(x, y)])
@@ -365,7 +368,5 @@ class TrevisanExtractor(SeededExtractor):
         return {"One-bit seed length": self.one_bit.seed_length}
 
     def extract(self, x: BitString, y: BitString) -> BitString:
-        x, y = self._check_lengths(x, y)
-        return BitString(
-            [self.one_bit.extract_bit(x, self.design.restrict(y, i)) for i in range(self.design.m)]
-        )
+        x, y = self._check_lengths(x, y)  # then one split of x serves the m restrictions of y, one at a time
+        return BitString(self.one_bit._bits(x, (self.design.restrict(y, i) for i in range(self.design.m))))

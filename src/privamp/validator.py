@@ -10,17 +10,22 @@ bits correlate with failing).
 
 Adapters spawn one process per case — the simplest possible contract
 for the implementation under test.  I/O formats: "binary-string" is
-ASCII '0'/'1' characters, "hex" is the package hex encoding.
+ASCII '0'/'1' characters, "hex" is the package hex encoding.  A case may
+send back at most 2m + 2**20 bytes on stdout, on stderr or in its output
+file (the width of m bits in either format, plus 1 MiB of slack); past
+that it has crashed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import os
 import selectors
 import shlex
 import signal
+import stat
 import subprocess
 import tempfile
 import time
@@ -161,8 +166,9 @@ class ImplementationAdapter:
         # each placeholder's text, built once: stdio passes it, files mode writes it
         subst = {ph: _serialize(v, self.serializers[ph]) for ph, v in (("$INPUT$", x), ("$SEED$", y))
                  if ph in self.command}
+        cap = 2 * output_length + (1 << 20)  # bytes of a pipe or the output file: m bits, plus slack
         if self.input_method == "stdio":
-            return _parse_output(self._run(self._argv(subst), timeout), self.output_parser, output_length)
+            return _parse_output(self._run(self._argv(subst), timeout, cap), self.output_parser, output_length)
         with tempfile.TemporaryDirectory(prefix="privamp-case-") as tmp:
             for ph, text in subst.items():
                 subst[ph] = os.path.join(tmp, ph.strip("$").lower())
@@ -171,12 +177,17 @@ class ImplementationAdapter:
             subst["$OUTPUT$"] = self.output_path or os.path.join(tmp, "output")
             if self.output_path is not None and os.path.exists(self.output_path):
                 os.unlink(self.output_path)  # never read a previous case's output
-            self._run(self._argv(subst), timeout)
-            try:
-                with open(subst["$OUTPUT$"], "rb") as fh:
-                    return _parse_output(fh.read(), self.output_parser, output_length)
+            self._run(self._argv(subst), timeout, cap)
+            try:  # without O_NONBLOCK, opening a FIFO would wait for a writer, past the deadline
+                with open(os.open(subst["$OUTPUT$"], os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+                    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                        raise AdapterCrashed("output file is not a regular file")
+                    raw = fh.read(cap + 1)
             except OSError as exc:
                 raise AdapterCrashed(f"could not read output file: {exc}") from exc
+            if len(raw) > cap:
+                raise AdapterCrashed(f"output file exceeds {cap} bytes")
+            return _parse_output(raw, self.output_parser, output_length)
 
     def _argv(self, substitutions: dict) -> list:
         argv = []
@@ -186,7 +197,7 @@ class ImplementationAdapter:
             argv.append(token)
         return argv
 
-    def _run(self, argv: list, timeout: float) -> bytes:
+    def _run(self, argv: list, timeout: float, cap: int) -> bytes:
         # a session of its own makes the case one process group, so killing
         # the group also ends whatever the command started (a shell's children, say)
         try:
@@ -195,15 +206,18 @@ class ImplementationAdapter:
                 start_new_session=True,
             )
         except OSError as exc:
+            if exc.errno == errno.E2BIG:  # Linux takes at most 128 KiB in one argument
+                raise AdapterCrashed(f"could not launch {argv[0]!r}: the serialized case exceeds the system's "
+                                     "argument size limit; input method 'files' carries it") from exc
             raise AdapterCrashed(f"could not launch {argv[0]!r}: {exc}") from exc
         deadline = time.monotonic() + timeout
-        chunks = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
+        received = {proc.stdout.fileno(): bytearray(), proc.stderr.fileno(): bytearray()}
         pidfds = []  # readable once the child has exited, so the loop then waits for the exit too
         with contextlib.suppress(AttributeError, OSError):  # no pidfd_open, or it failed
             pidfds.append(os.pidfd_open(proc.pid))
         with proc, selectors.PollSelector() as sel:
             try:
-                for fd in (*chunks, *pidfds):
+                for fd in (*received, *pidfds):
                     sel.register(fd, selectors.EVENT_READ)
                 while sel.get_map():
                     remaining = deadline - time.monotonic()
@@ -211,11 +225,14 @@ class ImplementationAdapter:
                     if not ready:
                         raise subprocess.TimeoutExpired(argv, timeout)
                     for key, _ in ready:
-                        data = os.read(key.fd, 32768) if key.fd in chunks else b""
-                        if data:
-                            chunks[key.fd].append(data)
-                        else:  # end of file, or the child has exited
+                        data = os.read(key.fd, 32768) if key.fd in received else b""
+                        if not data:  # end of file, or the child has exited
                             sel.unregister(key.fd)
+                            continue
+                        received[key.fd] += data
+                        if len(received[key.fd]) > cap:
+                            pipe = "stdout" if key.fd == proc.stdout.fileno() else "stderr"
+                            raise AdapterCrashed(f"{pipe} exceeds {cap} bytes")
                 # at once after a pidfd; through Popen.wait's sleep loop without one
                 proc.wait(max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired as exc:
@@ -227,21 +244,38 @@ class ImplementationAdapter:
                 # and leaves a background job behind
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
-        stdout, stderr = (b"".join(parts) for parts in chunks.values())
+        stdout, stderr = received.values()
         if proc.returncode != 0:
             message = stderr.decode(errors="replace").strip()[:200]
             raise AdapterCrashed(f"exit code {proc.returncode}: {message}")
-        return stdout
+        return bytes(stdout)
 
 
-@dataclass
 class FailedCase:
-    index: int
-    input: BitString
-    seed: BitString
-    expected: BitString
-    got: BitString | None = None  # None when the adapter crashed
-    error: str | None = None
+    """A case that failed: ``got`` is None when the adapter crashed, and ``error`` then says why.
+
+    ``input``, ``seed``, ``expected`` and ``got`` are BitStrings, kept packed,
+    8 bits a byte, and unpacked to a new BitString on each read.
+    """
+
+    __slots__ = ("index", "error", "_rows")
+
+    def __init__(self, index: int, input: BitString, seed: BitString, expected: BitString,
+                 got: BitString | None = None, error: str | None = None):
+        self.index, self.error = index, error
+        self._rows = [None if v is None else (len(v), np.packbits(v.bits)) for v in (input, seed, expected, got)]
+
+    def _row(self, i: int) -> BitString | None:
+        if self._rows[i] is None:
+            return None
+        bits = np.unpackbits(self._rows[i][1], count=self._rows[i][0])
+        bits.setflags(write=False)
+        return BitString._wrap(bits)
+
+    input = property(lambda self: self._row(0))
+    seed = property(lambda self: self._row(1))
+    expected = property(lambda self: self._row(2))
+    got = property(lambda self: self._row(3))
 
 
 @dataclass
@@ -394,8 +428,8 @@ class Validator:
                     return None
             except AdapterCrashed as exc:
                 got, error = None, str(exc)
-            # copies: a view of a row would keep its whole chunk alive
-            return FailedCase(index, BitString(x), BitString(y), BitString(expected), got, error)
+            # packed copies: a view of a row would keep its whole chunk alive
+            return FailedCase(index, BitString._wrap(x), BitString._wrap(y), BitString._wrap(expected), got, error)
 
         started = time.perf_counter()
         failures, n_failed, n_crashed, visited = [], 0, 0, 0

@@ -791,6 +791,37 @@ def test_extract_many_calls_extract_once_per_batch(monkeypatch):
         assert shapes == [(128,)] * 3
 
 
+@pytest.mark.parametrize("method", ["fft", "exact", "matrix"])
+@pytest.mark.parametrize("block", [None, 32])  # 32: 128->64 takes the partitioned kernel
+def test_one_case_is_hashed_as_a_one_row_column(monkeypatch, method, block):
+    # the block loop of extract hashes a single case, and the FFT kernel writes
+    # straight into the row that extract returns
+    if block is not None:
+        monkeypatch.setattr(toeplitz, "_BLOCK", block)
+    ext = ModifiedToeplitzExtractor(128, 64)
+    rng = np.random.default_rng(64)
+    x, y = BitString.random(128, rng), BitString.random(127, rng)
+    shapes, rows, original, block_fft = [], [], ModifiedToeplitzExtractor._hash, toeplitz._block_fft
+
+    def hashing(self, x, y, *args, **kwargs):
+        shapes.append(x.shape)
+        return original(self, x, y, *args, **kwargs)
+
+    def writing(*args):
+        rows.append(block_fft(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(ModifiedToeplitzExtractor, "_hash", hashing)
+    monkeypatch.setattr(toeplitz, "_block_fft", writing)
+    out = ext.extract(x, y, method=method)
+    assert isinstance(out, BitString) and not out.bits.flags.writeable
+    assert np.array_equal(out.bits, gf2_matvec(ext.to_matrix(y), x.bits))
+    one_batch = method == "fft" and block is None
+    assert shapes == [(1, 128) if one_batch else (128,)]
+    if method == "fft":
+        assert len(rows) == 1 and np.shares_memory(rows[0], out.bits)
+
+
 @pytest.mark.parametrize("make", [ModifiedToeplitzExtractor, ToeplitzExtractor])
 def test_batch_hashing_runs_in_bounded_memory(make):
     # 2*10^4 read-only 128-bit rows: one transform for all rows traces 76-118 MiB, and

@@ -535,3 +535,24 @@ def test_trevisan_matches_composition_oracle_gf256():
         x = BitString.random(40, rng)
         y = BitString.random(256, rng)
         assert ext.extract(x, y) == trevisan_oracle(ext, x, y)
+
+
+@pytest.mark.parametrize("m", [1, 16, 256])
+def test_extract_splits_its_input_once_for_all_output_bits(monkeypatch, m):
+    # one split of x serves every output bit, and extract takes no per-bit extract_bit route
+    from privamp import trevisan
+
+    splits, split = [], trevisan._hex_rows
+    monkeypatch.setattr(trevisan, "_hex_rows", lambda rows: splits.append(rows.shape) or split(rows))
+    ext = TrevisanExtractor.create(input_length=100, output_length=m, one_bit_extractor_seed_length=16)
+    rng = np.random.default_rng(m)
+    x, y = BitString.random(100, rng), BitString.random(256, rng)
+    expected = BitString([ext.one_bit.extract_bit(x, ext.design.restrict(y, i)) for i in range(m)])
+    splits.clear()
+
+    def no_extract_bit(*args):
+        raise AssertionError("extract called extract_bit")
+
+    monkeypatch.setattr(PolynomialOneBitExtractor, "extract_bit", no_extract_bit)
+    assert ext.extract(x, y) == expected
+    assert splits == [(13, 8)]  # ceil(100 / 8) chunks of l = 8 bits

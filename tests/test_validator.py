@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -813,3 +814,76 @@ def test_validate_queues_at_most_one_chunk(thirdparty_bin, monkeypatch):
     report = validator.validate(mode="random", sample_size=3 * chunk + 1, rng_seed=0, workers=2)
     assert report.total == 3 * chunk + 1 and report.passed
     assert len(pools) == 1 and 0 < pools[0].peak <= chunk
+
+
+# -- bounded reads of a case's output ---------------------------------------
+
+HOSTILE_CASE = """\
+import json, resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a case that reads without bound fails here
+from privamp import BitString, ImplementationAdapter
+from privamp.exceptions import AdapterCrashed
+
+adapter = ImplementationAdapter(**json.loads(sys.argv[1]))
+tracemalloc.start()
+base, started = tracemalloc.get_traced_memory()[0], time.monotonic()
+try:
+    adapter.run_case(BitString("0101"), BitString("0110"), 4, timeout=float(sys.argv[2]))
+    outcome = "returned"
+except AdapterCrashed as exc:
+    outcome = f"AdapterCrashed: {exc}"
+except Exception as exc:  # MemoryError, say, when a read has no bound
+    outcome = f"{type(exc).__name__}: {exc}"
+print(json.dumps([outcome, time.monotonic() - started, tracemalloc.get_traced_memory()[1] - base]))
+"""
+
+
+@pytest.mark.parametrize("command, input_method, error", [
+    ("sh -c 'cat /dev/zero'", "stdio", "stdout exceeds 1048584 bytes"),
+    ("sh -c 'cat /dev/zero >&2'", "stdio", "stderr exceeds 1048584 bytes"),
+    ("""sh -c 'mkfifo "$0"' $OUTPUT$""", "files", "output file is not a regular file"),
+    ("""sh -c 'ln -s /dev/zero "$0"' $OUTPUT$""", "files", "output file is not a regular file"),
+    ("""sh -c 'truncate -s 1G "$0"' $OUTPUT$""", "files", "output file exceeds 1048584 bytes"),
+], ids=["stdout-flood", "stderr-flood", "fifo", "dev-zero-symlink", "sparse-1GiB-file"])
+def test_a_hostile_case_crashes_within_its_timeout_and_byte_cap(command, input_method, error):
+    # 2m + 2**20 bytes for m = 4.  Each case runs in a child process limited to 1 GiB of
+    # address space and 60 s, so an unbounded read or a blocked open fails only the child
+    timeout = 2.0
+    src = os.path.dirname(os.path.dirname(sys.modules["privamp"].__file__))
+    spec = json.dumps({"label": "hostile", "command": command, "serializers": {}, "input_method": input_method})
+    child = subprocess.run([sys.executable, "-c", HOSTILE_CASE, spec, str(timeout)], capture_output=True,
+                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert child.returncode == 0, child.stderr
+    outcome, elapsed, peak = json.loads(child.stdout)
+    assert outcome == f"AdapterCrashed: {error}"
+    assert elapsed < timeout + 1.0
+    assert peak < 64 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the 128 KiB limit on one argument is Linux's")
+def test_a_case_past_the_argument_limit_names_the_limit():
+    # 2**17 binary-string characters are one argument past Linux's 128 KiB, NUL included
+    validator = Validator(ModifiedToeplitzExtractor(2**17, 2**16))
+    with pytest.raises(ProbeFailed, match="exceeds the system's argument size limit; input method 'files'"):
+        validator.add_implementation(label="long", command="true $SEED$ $INPUT$",
+                                     serializers={"$INPUT$": "binary-string", "$SEED$": "binary-string"})
+
+
+def test_stored_failures_are_packed(monkeypatch):
+    # 64 all-failing cases at modified 2**14: 6 KiB a case packed, 48 KiB as bytes
+    ext = ModifiedToeplitzExtractor(2**14, 2**13)
+    validator = in_process_validator(monkeypatch, ext, lambda ext, x, y: BitString(1 - ext.extract(x, y).bits))
+    validator.validate(mode="random", sample_size=2, rng_seed=0)  # imports and caches, untraced
+    tracemalloc.start()
+    try:
+        report = validator.validate(mode="random", sample_size=64, rng_seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.n_failed == len(report.failed) == 64
+    packed = 64 * (2**14 + ext.seed_length + 2 * 2**13) // 8
+    # beside the packed bits: the case objects and their arrays, ~1 KiB a case
+    assert held <= packed + 64 * 2048, f"{held} bytes held, {packed} packed"
+    case = report.failed[5]
+    assert case.got == BitString(1 - case.expected.bits) and len(case.seed) == ext.seed_length
+    assert case.expected == ext.extract(case.input, case.seed) and case.index == 5 and case.error is None
